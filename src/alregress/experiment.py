@@ -1,8 +1,10 @@
 """Benchmark harness: seeded trials of query strategies on one dataset.
 
 A trial splits the data, trains on the initial labeled set, then either
-queries round by round (sequential strategies, retraining after every label)
-or takes one up-front batch. Test RMSE is always measured against noiseless
+queries round by round (sequential strategies, retraining at the end of each
+round, where the model is read) or takes one up-front batch. The graph rules
+never read labels, so a sequential graph trial takes its whole query order
+from one build_seed_set call. Test RMSE is always measured against noiseless
 ground truth. Trials are pure functions of (dataset, config, trial seed):
 strategy randomness, oracle noise, and the split draw from separate seeded
 streams so noise settings never perturb feature-only strategies.
@@ -34,7 +36,7 @@ from .strategies import (
     select_emcm,
     select_greedy,
     select_ours_batch,
-    select_ours_sequential,
+    select_ours_sequential,  # noqa: F401 - not called; perfbench patches it here
     select_qbc,
     select_random,
 )
@@ -171,8 +173,6 @@ def _seed_for(trial_seed: int, salt: int, strat: StrategyConfig):
 
 def _select(strat, graph, features, labels, alpha, rng):
     kind = strat.kind
-    if kind == "ours_sequential":
-        return select_ours_sequential(graph)
     if kind == "greedy":
         return select_greedy(features, graph.labeled, graph.unlabeled)
     if kind == "random":
@@ -263,16 +263,24 @@ def _run_prepared_trial(
                 f"pool of {pool0} cannot supply {per_round} queries for "
                 f"{config.rounds} rounds"
             )
+        order = None
+        if strategy.kind == "ours_sequential":
+            # Called through this module's name, where tracers patch it.
+            order = build_seed_set(graph, per_round * config.rounds)
         for rnd in range(1, config.rounds + 1):
             for _ in range(per_round):
-                trace = _select(strategy, graph, Z, y_work, alpha, rng)
-                u = int(trace.chosen)
+                if order is None:
+                    trace = _select(strategy, graph, Z, y_work, alpha, rng)
+                    u, score = int(trace.chosen), trace.score
+                else:
+                    u = int(order[len(queried)])
+                    score = graph.q_single(u)
                 y_work[u] = oracle.label(y_true, u, y_work[graph.labeled])
                 graph = graph.commit(np.asarray([u]))
-                model, _ = fit(Z[graph.labeled], y_work[graph.labeled], alpha)
                 queried.append(u)
-                scores.append(trace.score)
+                scores.append(score)
                 query_rounds.append(rnd)
+            model, _ = fit(Z[graph.labeled], y_work[graph.labeled], alpha)
             rmses.append(rmse(predict(model, Z[test]), y_true[test]))
             if config.debug_checks:
                 _check_graph(graph, Z)

@@ -43,6 +43,23 @@ def _as_index_array(idx, n: int, name: str) -> np.ndarray:
     return arr
 
 
+def q_columns(rows, thetas, h, candidates) -> np.ndarray:
+    """h - sum_j min(thetas[j], L1(rows[j], c)) for every row c of ``candidates``.
+
+    ``rows``/``thetas`` are the unlabeled points and their weights, ``h`` their
+    total weight and every candidate one of the rows: its own entry is
+    min(theta, 0) = 0, so each sum is H' after moving just that candidate.
+    Sums run in row order at every width. ``sum(axis=0)`` would not: numpy
+    reduces a single column pairwise but a wider block row by row, and the
+    two orders can split an exact tie, which would let the number of
+    columns scored together change a greedy pick.
+    """
+    d = cdist(rows, candidates, "cityblock")
+    np.minimum(thetas[:, None], d, out=d)
+    np.add.accumulate(d, axis=0, out=d)  # sequential by definition
+    return h - d[-1]
+
+
 class NNBipartiteGraph:
     """Bipartite nearest-neighbor graph over a fixed feature matrix.
 
@@ -151,8 +168,10 @@ class NNBipartiteGraph:
     def q_values(self) -> np.ndarray:
         """q_single for every unlabeled point, aligned with ``unlabeled``.
 
-        Column-block evaluation of the same quantity; within float
-        associativity of the per-candidate q_single.
+        Column blocks of q_columns. Each entry sums its column in row order,
+        so it does not depend on the block width; it can differ from
+        q_single, whose remaining-row sum numpy reduces pairwise, in the last
+        bits.
         """
         m = self.unlabeled.size
         out = np.empty(m, dtype=np.float64)
@@ -162,11 +181,7 @@ class NNBipartiteGraph:
         h = self.total_uncertainty()
         for start in range(0, m, _BLOCK):
             stop = min(start + _BLOCK, m)
-            d = cdist(XU, XU[start:stop], "cityblock")
-            # The candidate's own column entry is min(theta, 0) = 0, so the
-            # column sum is H' after moving just that candidate.
-            h_after = np.minimum(self.thetas[:, None], d).sum(axis=0)
-            out[start:stop] = h - h_after
+            out[start:stop] = q_columns(XU, self.thetas, h, XU[start:stop])
         return out
 
     # -- mutation ----------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .graph import NNBipartiteGraph
+from .graph import NNBipartiteGraph, q_columns
 from .regression import fit, predict
 
 # Minimum strict improvement for a batch swap to be accepted.
@@ -62,26 +62,71 @@ class SelectionTrace:
 
 
 def select_ours_sequential(graph: NNBipartiteGraph) -> SelectionTrace:
-    """Argmax of q_single over the pool; ties go to the smallest index."""
+    """Argmax of q_values over the pool; ties go to the smallest index.
+
+    The score is q_single of the pick (see q_values on how the two differ)."""
     if graph.unlabeled.size == 0:
         raise ValueError("cannot select from an empty pool")
-    scores = graph.q_values()
-    pos = int(np.argmax(scores))  # first max = smallest unlabeled index
-    u = int(graph.unlabeled[pos])
+    u = int(build_seed_set(graph, 1)[0])
     return SelectionTrace(chosen=u, score=graph.q_single(u))
 
 
+def lazy_tolerance(pool_size: int, total: float) -> float:
+    """Slack between a stale q value and any later fresh one of the same point.
+
+    Exactly, a point's q can only fall as points are committed: q_set is a
+    facility-location objective, monotone submodular (Nemhauser, Wolsey &
+    Fisher 1978), also over the float distances and weights actually used.
+    Computed, each q value sums at most ``pool_size`` non-negative terms
+    bounded by the total weight ``total``, so it is off by at most about
+    2 * pool_size * 2**-53 * total; a stale value plus twice that, doubled
+    again for margin, bounds every later fresh value.
+    """
+    return 8.0 * pool_size * 2.0**-53 * total
+
+
 def build_seed_set(graph: NNBipartiteGraph, k: int) -> np.ndarray:
-    """k sequential picks with the graph updated after each (labels untouched)."""
+    """k sequential picks with the graph updated after each (labels untouched).
+
+    Each pick is the argmax of q_values on the graph committed so far, ties
+    to the smallest index, found by lazy greedy (Minoux 1978): one q_values
+    pass gives every point a bound, and a pick re-scores, in columns of
+    q_columns, the points whose stale bound comes within lazy_tolerance of
+    the best fresh score. Every other point provably scores below that best,
+    and a re-score is bitwise the q_values entry, so the picks are those of
+    the eager loop that calls q_values before every pick.
+    """
     if not 1 <= k <= graph.unlabeled.size:
         raise ValueError(f"k={k} outside 1..{graph.unlabeled.size}")
+    pool = graph.unlabeled
+    X = graph.features[pool]
+    bound = graph.q_values()  # aligned with pool
+    eps = lazy_tolerance(pool.size, graph.total_uncertainty())
+    alive = np.ones(pool.size, dtype=bool)
+    fresh = np.ones(pool.size, dtype=bool)
     g = graph
     picks = np.empty(k, dtype=np.int64)
     for i in range(k):
-        scores = g.q_values()
-        u = int(g.unlabeled[int(np.argmax(scores))])
-        picks[i] = u
-        g = g.commit(np.asarray([u]))
+        if i:
+            fresh[:] = False
+            rows, h = X[alive], g.total_uncertainty()
+            best, width = -np.inf, 2
+            while True:
+                todo = np.flatnonzero(alive & ~fresh & (bound >= best - eps))
+                if todo.size == 0:
+                    break
+                # Highest bounds first, in widening batches: an early high
+                # fresh score shrinks the set that still needs re-scoring.
+                todo = todo[np.argsort(-bound[todo], kind="stable")[:width]]
+                bound[todo] = q_columns(rows, g.thetas, h, X[todo])
+                fresh[todo] = True
+                best = max(best, float(bound[todo].max()))
+                width *= 2
+        pos = int(np.argmax(np.where(alive & fresh, bound, -np.inf)))
+        picks[i] = pool[pos]
+        alive[pos] = False
+        if i + 1 < k:
+            g = g.commit(picks[i : i + 1])
     return picks
 
 
@@ -129,7 +174,7 @@ def _q_of_positions(D, theta, S, total=None) -> float:
     keep[S] = False
     if not keep.any():
         return total
-    d = D[keep][:, S].min(axis=1)
+    d = D[:, S][keep].min(axis=1)  # columns first: no pool x pool row copy
     return total - float(np.sum(np.minimum(theta[keep], d)))
 
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: the 1-D toy graph, random instances, and benchmark data discovery."""
+"""Shared fixtures: the 1-D toy graph, random instances, the slow greedy
+reference, and benchmark data discovery."""
 
 import os
 from pathlib import Path
@@ -58,6 +59,29 @@ def random_graph(rng, n_lo=8, n_hi=30, d_hi=6, max_labeled_frac=3):
     n_lab = int(rng.integers(1, max(2, n // max_labeled_frac) + 1))
     perm = rng.permutation(n)
     return NNBipartiteGraph.build(perm[:n_lab], perm[n_lab:], X), X
+
+
+def eager_seed_set(graph, k):
+    """Slow reference for build_seed_set: a full q_values scan per pick,
+    argmax (first max, so ties go to the smallest index), then commit."""
+    g = graph
+    picks = np.empty(k, dtype=np.int64)
+    for i in range(k):
+        u = int(g.unlabeled[int(np.argmax(g.q_values()))])
+        picks[i] = u
+        g = g.commit(np.asarray([u]))
+    return picks
+
+
+def demo05_dataset() -> Dataset:
+    """The clustered data of demos/05_benchmark_run.py, same recipe and seed."""
+    rng = np.random.default_rng(5)
+    centers = rng.normal(scale=5.0, size=(6, 4))
+    assignments = rng.integers(0, 6, size=400)
+    X = centers[assignments] + 0.5 * rng.normal(size=(400, 4))
+    slopes = rng.normal(size=(6, 4))
+    y = np.einsum("ij,ij->i", X, slopes[assignments]) + 0.1 * rng.normal(size=400)
+    return Dataset(features=X, targets=y, name="clusters")
 
 
 def synthetic_dataset(seed: int, n=120, d=4, noise=0.05, name="synth") -> Dataset:

@@ -122,6 +122,23 @@ class TestSequentialTrial:
         with pytest.raises(ValueError, match="cannot supply"):
             run_trial(config, config.strategies[0], trial_seed=0)
 
+    def test_model_fit_once_per_round(self, monkeypatch):
+        # The model is read only at round end, so 2 queries per round over
+        # 5 rounds cost the initial fit plus 5, not 1 + 10.
+        from alregress import experiment
+
+        calls = []
+        real_fit = experiment.fit
+        monkeypatch.setattr(
+            experiment, "fit", lambda *args: calls.append(1) or real_fit(*args)
+        )
+        for kind in ("ours_sequential", "random"):
+            calls.clear()
+            config = small_config(synthetic_dataset(3), [kind])
+            result = run_trial(config, config.strategies[0], trial_seed=0)
+            assert len(result.queried_indices) == 10
+            assert len(calls) == 1 + 5
+
     def test_learning_reduces_error(self):
         config = small_config(
             synthetic_dataset(7, noise=0.01), ["ours_sequential"], rounds=10

@@ -1,0 +1,149 @@
+"""Lazy greedy against the eager reference, and the pick tie contract.
+
+build_seed_set must pick exactly what a full q_values scan per pick picks:
+the argmax of row-order q, the smallest index on ties. The properties run on
+integer-grid features, where duplicate rows and exact distance ties are
+common. The regression tests pin the summation-order hazard: on demo 05's
+data, candidates 167 and 110 tie exactly at pick 40 under numpy's pairwise
+sum of a single column, but differ by 1.4e-14 in row order.
+"""
+
+import runpy
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
+
+from alregress import (
+    ExperimentConfig,
+    NNBipartiteGraph,
+    RegressionSpec,
+    StrategyConfig,
+    build_model_space,
+    build_seed_set,
+    make_split,
+    run_trial,
+)
+from alregress.graph import q_columns
+from alregress.strategies import lazy_tolerance
+
+from conftest import REPO_ROOT, demo05_dataset, eager_seed_set
+
+
+@st.composite
+def grid_graphs(draw):
+    """Small graphs on an integer grid: duplicate rows and exact ties."""
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 3))
+    side = draw(st.integers(1, 4))
+    cells = draw(
+        st.lists(
+            st.lists(st.integers(0, side - 1), min_size=d, max_size=d),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    X = np.asarray(cells, dtype=np.float64)
+    perm = np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
+    n_lab = draw(st.integers(1, n - 1))
+    return NNBipartiteGraph.build(perm[:n_lab], perm[n_lab:], X)
+
+
+class TestLazyEqualsEager:
+    @given(g=grid_graphs(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_picks_match_eager_scan(self, g, data):
+        k = data.draw(st.integers(1, g.unlabeled.size))
+        np.testing.assert_array_equal(build_seed_set(g, k), eager_seed_set(g, k))
+
+    def test_whole_pool_on_random_features(self):
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            n = int(rng.integers(10, 60))
+            X = rng.normal(size=(n, 3))
+            perm = rng.permutation(n)
+            g = NNBipartiteGraph.build(perm[:2], perm[2:], X)
+            k = g.unlabeled.size
+            np.testing.assert_array_equal(build_seed_set(g, k), eager_seed_set(g, k))
+
+    @given(g=grid_graphs(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_prefix_equality(self, g, data):
+        k = data.draw(st.integers(1, g.unlabeled.size))
+        j = data.draw(st.integers(1, k))
+        np.testing.assert_array_equal(build_seed_set(g, k)[:j], build_seed_set(g, j))
+
+    @given(g=grid_graphs(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_diminishing_returns(self, g, data):
+        u = int(data.draw(st.sampled_from(g.unlabeled.tolist())))
+        before = g.q_values()
+        after = g.commit(np.asarray([u])).q_values()
+        still = g.unlabeled != u
+        eps = lazy_tolerance(g.unlabeled.size, g.total_uncertainty())
+        assert np.all(after <= before[still] + eps)
+
+
+class TestSummationOrder:
+    def _graph(self, n=1100):
+        rng = np.random.default_rng(67)
+        X = rng.normal(size=(n, 3))
+        return NNBipartiteGraph.build(np.arange(5), np.arange(5, n), X)
+
+    def test_kernel_matches_q_values_at_every_width(self):
+        g = self._graph()
+        q = g.q_values()
+        XU = g.features[g.unlabeled]
+        h = g.total_uncertainty()
+        for start, width in ((0, 1), (7, 1), (1090, 1), (3, 2), (50, 1024)):
+            cols = slice(start, start + width)
+            got = q_columns(XU, g.thetas, h, XU[cols])
+            np.testing.assert_array_equal(got, q[cols])  # bitwise
+
+    def test_kernel_sums_in_row_order(self):
+        g = self._graph()
+        XU = g.features[g.unlabeled]
+        h = g.total_uncertainty()
+        for c in (0, 11, 500):
+            col = np.minimum(g.thetas, cdist(XU, XU[c : c + 1], "cityblock")[:, 0])
+            acc = 0.0
+            for v in col.tolist():
+                acc += v
+            assert q_columns(XU, g.thetas, h, XU[c : c + 1])[0] == h - acc
+
+    def test_demo05_pick_40_is_167(self):
+        space = build_model_space(demo05_dataset(), RegressionSpec(kind="linear"))
+        split = make_split(space.n, 0)
+        g = NNBipartiteGraph.build(split.initial_labeled, split.unlabeled_pool,
+                                   space.features)
+        assert build_seed_set(g, 41)[40] == 167
+
+
+class TestHarnessOrder:
+    def test_sequential_trial_is_the_eager_order(self):
+        dataset = demo05_dataset()
+        config = ExperimentConfig(
+            dataset=dataset,
+            strategies=(StrategyConfig(kind="ours_sequential"),),
+            trials=1,
+            rounds=4,
+        )
+        result = run_trial(config, config.strategies[0], trial_seed=2)
+        space = build_model_space(dataset, config.regression)
+        split = make_split(space.n, 2)
+        g = NNBipartiteGraph.build(split.initial_labeled, split.unlabeled_pool,
+                                   space.features)
+        order = eager_seed_set(g, len(result.queried_indices))
+        assert result.queried_indices == order.tolist()
+        for u, score in zip(order, result.query_scores):
+            assert score == g.q_single(int(u))  # bitwise
+            g = g.commit(np.asarray([u]))
+
+
+def test_demo05_reproduces_committed_csvs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the demo writes demo_out/ under the cwd
+    runpy.run_path(str(REPO_ROOT / "demos" / "05_benchmark_run.py"))
+    for name in ("curves.csv", "ranking.csv", "trials.csv"):
+        got = (tmp_path / "demo_out" / name).read_bytes()
+        assert got == (REPO_ROOT / "demo_out" / name).read_bytes(), name
