@@ -4,7 +4,9 @@ These enumerate k-subsets outright, so they are the ground truth the fast
 strategies are checked against: the best uncertainty-reducing subset of an
 exact size, and yes/no answers for whether some subset of at most k moves
 can drive the maximum edge weight below beta (max-threshold) or the total
-below sigma (total-threshold).
+below sigma (total-threshold). Every subset is scored by the graph's own
+commit (q_set is its drop in total weight), so the solvers share the one
+facility-location kernel the fast strategies use.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .graph import NNBipartiteGraph
 
@@ -49,19 +50,12 @@ def _guard(n_pool: int, k: int) -> None:
         )
 
 
-def _pool_distances(graph: NNBipartiteGraph) -> np.ndarray:
-    XU = graph.features[graph.unlabeled]
-    return cdist(XU, XU, "cityblock")
-
-
-def _totals_after(D, theta, positions) -> float:
-    """Total edge weight after moving the pool positions in ``positions``."""
-    keep = np.ones(theta.size, dtype=bool)
-    keep[list(positions)] = False
-    if not keep.any():
-        return 0.0
-    d = D[keep][:, list(positions)].min(axis=1)
-    return float(np.sum(np.minimum(theta[keep], d)))
+def _subsets(graph: NNBipartiteGraph, sizes):
+    """Every subset of the pool with a size in ``sizes``, as sorted dataset
+    indices, in lexicographic order of pool positions within each size."""
+    for size in sizes:
+        for positions in itertools.combinations(range(graph.unlabeled.size), size):
+            yield graph.unlabeled[list(positions)]
 
 
 def best_subset_by_q(graph: NNBipartiteGraph, k: int) -> tuple[np.ndarray, float]:
@@ -74,18 +68,13 @@ def best_subset_by_q(graph: NNBipartiteGraph, k: int) -> tuple[np.ndarray, float
     if not 1 <= k <= nU:
         raise ValueError(f"k={k} outside 1..{nU}")
     _guard(nU, k)
-    D = _pool_distances(graph)
-    theta = graph.thetas
-    total = float(np.sum(theta))
-    best_positions: tuple[int, ...] | None = None
-    best_q = -np.inf
-    for positions in itertools.combinations(range(nU), k):
-        q = total - _totals_after(D, theta, positions)
+    best_subset, best_q = None, -np.inf
+    for subset in _subsets(graph, [k]):
+        q = graph.q_set(subset)
         if q > best_q:
-            best_q = q
-            best_positions = positions
-    assert best_positions is not None
-    return graph.unlabeled[list(best_positions)], float(best_q)
+            best_subset, best_q = subset, q
+    assert best_subset is not None
+    return best_subset, float(best_q)
 
 
 def min_total_after(graph: NNBipartiteGraph, k: int) -> float:
@@ -98,26 +87,19 @@ def min_total_after(graph: NNBipartiteGraph, k: int) -> float:
     if not 1 <= k <= nU:
         raise ValueError(f"k={k} outside 1..{nU}")
     _guard(nU, k)
-    D = _pool_distances(graph)
-    theta = graph.thetas
     return min(
-        _totals_after(D, theta, positions)
-        for positions in itertools.combinations(range(nU), k)
+        graph.commit(subset).total_uncertainty() for subset in _subsets(graph, [k])
     )
 
 
 def mmtd_decide(instance: ModificationInstance) -> bool:
     """Is there a subset of 1..k moves leaving total edge weight <= sigma?"""
     graph = instance.graph
-    nU = graph.unlabeled.size
-    _guard(nU, instance.k)
-    D = _pool_distances(graph)
-    theta = graph.thetas
-    for size in range(1, instance.k + 1):
-        for positions in itertools.combinations(range(nU), size):
-            if _totals_after(D, theta, positions) <= instance.sigma:
-                return True
-    return False
+    _guard(graph.unlabeled.size, instance.k)
+    return any(
+        graph.commit(subset).total_uncertainty() <= instance.sigma
+        for subset in _subsets(graph, range(1, instance.k + 1))
+    )
 
 
 def mmmd_decide(instance: ModificationInstance) -> bool:
@@ -127,20 +109,8 @@ def mmmd_decide(instance: ModificationInstance) -> bool:
     always satisfiable.
     """
     graph = instance.graph
-    nU = graph.unlabeled.size
-    _guard(nU, instance.k)
-    D = _pool_distances(graph)
-    theta = graph.thetas
-    for size in range(1, instance.k + 1):
-        for positions in itertools.combinations(range(nU), size):
-            keep = np.ones(nU, dtype=bool)
-            keep[list(positions)] = False
-            if not keep.any():
-                if instance.beta >= 0:
-                    return True
-                continue
-            d = D[keep][:, list(positions)].min(axis=1)
-            worst = float(np.max(np.minimum(theta[keep], d)))
-            if worst <= instance.beta:
-                return True
-    return False
+    _guard(graph.unlabeled.size, instance.k)
+    return any(
+        graph.commit(subset).thetas.max(initial=0.0) <= instance.beta
+        for subset in _subsets(graph, range(1, instance.k + 1))
+    )

@@ -245,12 +245,13 @@ def _run_prepared_trial(
             raise ValueError(f"batch size {k} outside 1..{pool0}")
         trace = select_ours_batch(graph, k, build_seed_set(graph, k))
         chosen = np.sort(np.asarray(trace.chosen, dtype=np.int64))
-        for u in chosen:  # label in ascending index order
-            y_work[u] = oracle.label(y_true, int(u), y_work[graph.labeled])
-            graph = graph.commit(np.asarray([u]))
-            queried.append(int(u))
-            scores.append(trace.score)
-            query_rounds.append(1)
+        for i, u in enumerate(chosen):  # label in ascending index order
+            known = np.union1d(graph.labeled, chosen[:i])
+            y_work[u] = oracle.label(y_true, int(u), y_work[known])
+        graph = graph.commit(chosen)
+        queried = chosen.tolist()
+        scores = [trace.score] * k
+        query_rounds = [1] * k
         model, _ = fit(Z[graph.labeled], y_work[graph.labeled], alpha)
         flat = rmse(predict(model, Z[test]), y_true[test])
         rmses.extend([flat] * config.rounds)
@@ -274,9 +275,11 @@ def _run_prepared_trial(
                     u, score = int(trace.chosen), trace.score
                 else:
                     u = int(order[len(queried)])
-                    score = graph.q_single(u)
                 y_work[u] = oracle.label(y_true, u, y_work[graph.labeled])
-                graph = graph.commit(np.asarray([u]))
+                after = graph.commit(np.asarray([u]))
+                if order is not None:  # q_set of the pick: the drop in H
+                    score = graph.total_uncertainty() - after.total_uncertainty()
+                graph = after
                 queried.append(u)
                 scores.append(score)
                 query_rounds.append(rnd)

@@ -3,9 +3,9 @@
 Every unlabeled point carries exactly one edge, to its L1-nearest labeled
 point; the edge weight is that distance and the total of all weights is the
 pool's uncertainty mass H. Moving points into the labeled side can only
-shrink weights, and q_set measures exactly how much of H a candidate set
-would remove, directly (its own edges) plus indirectly (other points
-re-anchoring to it).
+shrink weights. commit performs such a move, and q_set is defined by it: the
+drop in H, which counts the moved points' own edges plus every shrink of the
+points that re-anchor to them.
 """
 
 from __future__ import annotations
@@ -141,24 +141,9 @@ class NNBipartiteGraph:
         return pos
 
     def q_set(self, subset) -> float:
-        """Uncertainty reduction H - H' from moving ``subset`` to the labeled side.
-
-        H' re-anchors every remaining point to the nearer of its current
-        labeled neighbor and the closest subset member; the subset's own
-        edges vanish from the total.
-        """
-        pos = self._subset_positions(subset)
-        keep = np.ones(self.unlabeled.size, dtype=bool)
-        keep[pos] = False
-        h = self.total_uncertainty()
-        if not np.any(keep):
-            return h
-        rest = self.unlabeled[keep]
-        d_new = cdist(
-            self.features[rest], self.features[self.unlabeled[pos]], "cityblock"
-        ).min(axis=1)
-        h_after = float(np.sum(np.minimum(self.thetas[keep], d_new)))
-        return h - h_after
+        """Uncertainty reduction H - H' from moving ``subset`` to the labeled
+        side, where H' is the total weight of ``commit(subset)``."""
+        return self.total_uncertainty() - self.commit(subset).total_uncertainty()
 
     def q_single(self, u: int) -> float:
         """Uncertainty reduction from moving one point: its own weight plus
@@ -170,8 +155,8 @@ class NNBipartiteGraph:
 
         Column blocks of q_columns. Each entry sums its column in row order,
         so it does not depend on the block width; it can differ from
-        q_single, whose remaining-row sum numpy reduces pairwise, in the last
-        bits.
+        q_single, a difference of two totals that numpy sums pairwise, in
+        the last bits.
         """
         m = self.unlabeled.size
         out = np.empty(m, dtype=np.float64)
@@ -190,8 +175,10 @@ class NNBipartiteGraph:
         """New graph with ``subset`` moved to the labeled side.
 
         Incremental: remaining weights become min(old theta, distance to the
-        nearest new member). Exact ties keep the incumbent neighbor; among new
-        members the smallest index wins.
+        nearest new member). Distance ties go to the smallest labeled index,
+        as in build: among new members argmin takes the first, and a new
+        member that ties the incumbent replaces it only if its index is
+        smaller.
         """
         pos = self._subset_positions(subset)
         moved = self.unlabeled[pos]
@@ -210,10 +197,11 @@ class NNBipartiteGraph:
         d = cdist(self.features[rest], self.features[moved], "cityblock")
         best_pos = d.argmin(axis=1)
         best = d[np.arange(rest.size), best_pos]
-        old_theta = self.thetas[keep]
-        improves = best < old_theta  # strict: equal keeps the incumbent
+        old_theta, old_nn = self.thetas[keep], self.nn[keep]
+        cand = moved[best_pos]
+        improves = (best < old_theta) | ((best == old_theta) & (cand < old_nn))
         new_theta = np.where(improves, best, old_theta)
-        new_nn = np.where(improves, moved[best_pos], self.nn[keep])
+        new_nn = np.where(improves, cand, old_nn)
         return NNBipartiteGraph(self.features, new_labeled, rest, new_nn, new_theta)
 
     # -- diagnostics -------------------------------------------------------

@@ -147,35 +147,19 @@ def select_ours_batch(
         raise ValueError(f"k={k} outside 1..{nU}")
     if seed_set is None:
         seed_set = build_seed_set(graph, k)
-    seed = np.sort(np.asarray(seed_set, dtype=np.int64).ravel())
-    if seed.size != k or np.unique(seed).size != k:
+    seed_pos = graph._subset_positions(seed_set)
+    if seed_pos.size != k:
         raise ValueError(f"seed set must hold {k} distinct indices")
-    seed_pos = np.searchsorted(graph.unlabeled, seed)
-    if np.any(seed_pos >= nU) or np.any(graph.unlabeled[seed_pos] != seed):
-        raise ValueError("seed set is not contained in the unlabeled pool")
 
     XU = graph.features[graph.unlabeled]
     D = cdist(XU, XU, "cityblock")
-    final_pos, q_hist, swaps = _local_search(D, graph.thetas, seed_pos, tol)
-    chosen = graph.unlabeled[final_pos]
+    final_pos, q_hist, swaps = _local_search(graph, D, seed_pos, tol)
     return SelectionTrace(
-        chosen=chosen,
-        score=graph.q_set(chosen),
+        chosen=graph.unlabeled[final_pos],
+        score=q_hist[-1],
         swaps_performed=swaps,
         q_history=tuple(q_hist),
     )
-
-
-def _q_of_positions(D, theta, S, total=None) -> float:
-    """q_set in pool-position space; bitwise-matches NNBipartiteGraph.q_set."""
-    if total is None:
-        total = float(np.sum(theta))
-    keep = np.ones(theta.size, dtype=bool)
-    keep[S] = False
-    if not keep.any():
-        return total
-    d = D[:, S][keep].min(axis=1)  # columns first: no pool x pool row copy
-    return total - float(np.sum(np.minimum(theta[keep], d)))
 
 
 def _pool_state(D, theta, S):
@@ -220,13 +204,15 @@ def _swap_deltas(D, theta, S, u, state):
     return total_base - base_by_l + repl_by_l + cost[u] - new_member_cost
 
 
-def _local_search(D, theta, seed_pos, tol):
-    total = float(np.sum(theta))
-    S = np.sort(np.asarray(seed_pos, dtype=np.int64))
+def _local_search(graph, D, S, tol):
+    """Swap passes from the sorted pool positions ``S``; returns the final
+    positions, q_set of the set after every accepted swap, and the swap
+    count."""
+    theta = graph.thetas
     in_set = np.zeros(theta.size, dtype=bool)
     in_set[S] = True
     swaps = 0
-    q_hist = [_q_of_positions(D, theta, S, total)]
+    q_hist = [graph.q_set(graph.unlabeled[S])]
     if S.size == theta.size:
         return S, q_hist, swaps
     changed = True
@@ -248,7 +234,7 @@ def _local_search(D, theta, seed_pos, tol):
                 swaps += 1
                 changed = True
                 state = None
-                q_hist.append(_q_of_positions(D, theta, S, total))
+                q_hist.append(graph.q_set(graph.unlabeled[S]))
     return S, q_hist, swaps
 
 

@@ -1,11 +1,12 @@
-"""Shared fixtures: the 1-D toy graph, random instances, the slow greedy
-reference, and benchmark data discovery."""
+"""Shared fixtures: the 1-D toy graph, random and integer-grid instances, the
+slow greedy reference, and benchmark data discovery."""
 
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from alregress import Dataset, NNBipartiteGraph
 
@@ -59,6 +60,25 @@ def random_graph(rng, n_lo=8, n_hi=30, d_hi=6, max_labeled_frac=3):
     n_lab = int(rng.integers(1, max(2, n // max_labeled_frac) + 1))
     perm = rng.permutation(n)
     return NNBipartiteGraph.build(perm[:n_lab], perm[n_lab:], X), X
+
+
+@st.composite
+def grid_graphs(draw, max_n=30):
+    """Small graphs on an integer grid: duplicate rows and exact ties."""
+    n = draw(st.integers(2, max_n))
+    d = draw(st.integers(1, 3))
+    side = draw(st.integers(1, 4))
+    cells = draw(
+        st.lists(
+            st.lists(st.integers(0, side - 1), min_size=d, max_size=d),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    X = np.asarray(cells, dtype=np.float64)
+    perm = np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
+    n_lab = draw(st.integers(1, n - 1))
+    return NNBipartiteGraph.build(perm[:n_lab], perm[n_lab:], X)
 
 
 def eager_seed_set(graph, k):

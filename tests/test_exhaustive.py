@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alregress import (
     ModificationInstance,
@@ -20,7 +22,7 @@ from alregress import (
 )
 from alregress.exhaustive import MAX_POOL
 
-from conftest import random_graph
+from conftest import grid_graphs, random_graph
 
 
 def q_by_rebuild(graph, subset):
@@ -62,6 +64,14 @@ class TestBestSubset:
                 for c in itertools.combinations(g.unlabeled.tolist(), k)
             )
             assert fast_q == pytest.approx(slow_q, abs=1e-9)
+
+    @given(g=grid_graphs(max_n=14), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_value_is_q_set_and_rebuild_drop_bitwise(self, g, data):
+        # integer grids: exact ties between subsets and between neighbors
+        k = data.draw(st.integers(1, min(3, g.unlabeled.size)))
+        subset, q = best_subset_by_q(g, k)
+        assert q == g.q_set(subset) == q_by_rebuild(g, subset)
 
     def test_duality_with_min_total_is_exact(self):
         rng = np.random.default_rng(83)

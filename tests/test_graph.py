@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from alregress import BoundDiagnostic, LinearModel, NNBipartiteGraph, check_bound, fit
 
-from conftest import random_graph
+from conftest import grid_graphs, random_graph
 
 
 def nn_scan(labeled, unlabeled, X):
@@ -163,6 +163,27 @@ class TestCommit:
         g2 = g.commit([1])
         assert g2.neighbor_of(2) == 0  # tie: stays with the old edge
         assert g2.neighbor_of(3) == 1  # strictly closer: switched
+        # mirrored: the new member ties with a smaller index than the
+        # incumbent, so it takes the edge, as a fresh build would
+        X = np.array([[0.0], [2.0], [1.0]])
+        assert NNBipartiteGraph.build([1], [0, 2], X).commit([0]).neighbor_of(2) == 0
+
+    @given(g=grid_graphs(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_commit_equals_rebuild_on_grid(self, g, data):
+        # integer grids are full of exact distance ties and duplicate rows
+        moved = data.draw(
+            st.lists(st.sampled_from(g.unlabeled.tolist()), min_size=1, unique=True)
+        )
+        inc = g.commit(moved)
+        ref = NNBipartiteGraph.build(inc.labeled, inc.unlabeled, g.features)
+        np.testing.assert_array_equal(inc.nn, ref.nn)
+        np.testing.assert_array_equal(inc.thetas, ref.thetas)
+        chain = g
+        for u in sorted(moved):  # one commit per member, as labeling goes
+            chain = chain.commit([u])
+        np.testing.assert_array_equal(chain.nn, inc.nn)
+        np.testing.assert_array_equal(chain.thetas, inc.thetas)
 
     def test_commit_of_everything_empties_the_pool(self, toy_graph):
         g = toy_graph.commit([3, 4, 5, 6])

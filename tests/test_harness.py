@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from alregress import (
+    Dataset,
     ExperimentConfig,
     OracleConfig,
     RegressionSpec,
@@ -164,6 +165,24 @@ class TestBatchTrial:
         )
         result = run_trial(config, strat, trial_seed=0)
         assert len(result.queried_indices) == 5
+
+    def test_noisy_labels_pinned(self):
+        # the batch is labeled in ascending order, each noise draw scaled by
+        # the spread of the labels known so far; these bytes were recorded
+        # when the harness still committed the batch one point at a time
+        config = small_config(
+            synthetic_dataset(8),
+            ["ours_batch"],
+            rounds=3,
+            oracle=OracleConfig(noise_kind="gaussian", noise_scale=0.1),
+        )
+        result = run_trial(config, config.strategies[0], trial_seed=0)
+        assert [repr(float(r)) for r in result.rmse_per_round] == [
+            "2.0363146515632624",
+            "0.06390184094374672",
+            "0.06390184094374672",
+            "0.06390184094374672",
+        ]
 
     def test_oversized_batch_rejected(self):
         strat = StrategyConfig(kind="ours_batch", batch_k=500)
@@ -361,6 +380,22 @@ class TestPolynomialRun:
         )
         report = run_experiment(config)
         assert np.all(np.isfinite(report.mean_rmse["ours_sequential"]))
+
+
+class TestDebugChecks:
+    def test_incremental_graph_matches_rebuild_on_grid_data(self):
+        # duplicate rows and exact distance ties, as in tables with discrete
+        # columns; every round's graph is checked against a fresh build
+        rng = np.random.default_rng(19)
+        X = rng.integers(0, 3, size=(120, 3)).astype(np.float64)
+        y = X @ rng.normal(size=3) + 0.1 * rng.normal(size=120)
+        config = small_config(
+            Dataset(features=X, targets=y, name="grid"),
+            ["ours_sequential", "ours_batch", "random", "greedy"],
+            trials=3,
+            debug_checks=True,
+        )
+        run_experiment(config)
 
 
 class TestValidationSuite:

@@ -28,26 +28,7 @@ from alregress import (
 from alregress.graph import q_columns
 from alregress.strategies import lazy_tolerance
 
-from conftest import REPO_ROOT, demo05_dataset, eager_seed_set
-
-
-@st.composite
-def grid_graphs(draw):
-    """Small graphs on an integer grid: duplicate rows and exact ties."""
-    n = draw(st.integers(2, 30))
-    d = draw(st.integers(1, 3))
-    side = draw(st.integers(1, 4))
-    cells = draw(
-        st.lists(
-            st.lists(st.integers(0, side - 1), min_size=d, max_size=d),
-            min_size=n,
-            max_size=n,
-        )
-    )
-    X = np.asarray(cells, dtype=np.float64)
-    perm = np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
-    n_lab = draw(st.integers(1, n - 1))
-    return NNBipartiteGraph.build(perm[:n_lab], perm[n_lab:], X)
+from conftest import REPO_ROOT, demo05_dataset, eager_seed_set, grid_graphs
 
 
 class TestLazyEqualsEager:

@@ -118,6 +118,7 @@ class TestBatch:
             k = min(3, g.unlabeled.size)
             trace = select_ours_batch(g, k)
             assert trace.score == g.q_set(trace.chosen)  # bitwise
+            assert trace.q_history[-1] == trace.score
 
     def test_never_below_seed_and_history_ascends(self):
         rng = np.random.default_rng(47)
@@ -130,6 +131,7 @@ class TestBatch:
             hist = np.array(trace.q_history)
             assert np.all(np.diff(hist) > 0)  # every accepted swap improved
             assert len(hist) == trace.swaps_performed + 1
+            assert hist[-1] == trace.score  # bitwise: both are q_set
 
     def test_local_optimum_verified_by_enumeration(self):
         # no single swap from the returned set may improve q_set
