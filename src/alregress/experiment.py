@@ -40,6 +40,7 @@ from .strategies import (
     select_qbc,
     select_random,
 )
+from .validation import check_graph
 
 REGRESSION_KINDS = ("linear", "ridge", "polynomial")
 
@@ -190,15 +191,6 @@ def _select(strat, graph, features, labels, alpha, rng):
     raise ValueError(f"strategy {kind!r} is not a per-query strategy")
 
 
-def _check_graph(graph, features):
-    rebuilt = NNBipartiteGraph.build(graph.labeled, graph.unlabeled, features)
-    if not (
-        np.array_equal(rebuilt.thetas, graph.thetas)
-        and np.array_equal(rebuilt.nn, graph.nn)
-    ):
-        raise AssertionError("incremental graph diverged from a fresh build")
-
-
 def run_trial(
     config: ExperimentConfig, strategy: StrategyConfig, trial_seed: int
 ) -> TrialResult:
@@ -256,7 +248,7 @@ def _run_prepared_trial(
         flat = rmse(predict(model, Z[test]), y_true[test])
         rmses.extend([flat] * config.rounds)
         if config.debug_checks:
-            _check_graph(graph, Z)
+            check_graph(graph)
     else:
         per_round = _ceil_count(config.per_round_fraction * pool0)
         if per_round * config.rounds > pool0:
@@ -286,7 +278,7 @@ def _run_prepared_trial(
             model, _ = fit(Z[graph.labeled], y_work[graph.labeled], alpha)
             rmses.append(rmse(predict(model, Z[test]), y_true[test]))
             if config.debug_checks:
-                _check_graph(graph, Z)
+                check_graph(graph)
         assert graph.labeled.size + graph.unlabeled.size + test.size == space.n
 
     return TrialResult(

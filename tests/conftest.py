@@ -1,5 +1,8 @@
 """Shared fixtures: the 1-D toy graph, random and integer-grid instances, the
-slow greedy reference, and benchmark data discovery."""
+slow greedy and rebuild references, and benchmark data discovery.
+
+``random_graph`` is the library's ``validation.random_instance``, so the
+unit tests and ``al-regress validate`` draw instances the same way."""
 
 import os
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 from alregress import Dataset, NNBipartiteGraph
+from alregress.validation import random_instance as random_graph  # noqa: F401
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,14 +56,13 @@ def toy_graph() -> NNBipartiteGraph:
     return NNBipartiteGraph.build([0, 1, 2], [3, 4, 5, 6], X)
 
 
-def random_graph(rng, n_lo=8, n_hi=30, d_hi=6, max_labeled_frac=3):
-    """Random standard-normal instance with at least one labeled point."""
-    n = int(rng.integers(n_lo, n_hi))
-    d = int(rng.integers(1, d_hi + 1))
-    X = rng.normal(size=(n, d))
-    n_lab = int(rng.integers(1, max(2, n // max_labeled_frac) + 1))
-    perm = rng.permutation(n)
-    return NNBipartiteGraph.build(perm[:n_lab], perm[n_lab:], X), X
+def q_by_rebuild(graph, subset):
+    """Reference reduction: H minus the total after moving `subset` to labeled."""
+    subset = list(subset)
+    new_labeled = sorted(set(graph.labeled.tolist()) | set(subset))
+    new_unlabeled = [u for u in graph.unlabeled.tolist() if u not in set(subset)]
+    after = NNBipartiteGraph.build(new_labeled, new_unlabeled, graph.features)
+    return graph.total_uncertainty() - after.total_uncertainty()
 
 
 @st.composite

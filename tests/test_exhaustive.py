@@ -22,15 +22,7 @@ from alregress import (
 )
 from alregress.exhaustive import MAX_POOL
 
-from conftest import grid_graphs, random_graph
-
-
-def q_by_rebuild(graph, subset):
-    subset = list(subset)
-    new_labeled = sorted(set(graph.labeled.tolist()) | set(subset))
-    new_unlabeled = [u for u in graph.unlabeled.tolist() if u not in set(subset)]
-    after = NNBipartiteGraph.build(new_labeled, new_unlabeled, graph.features)
-    return graph.total_uncertainty() - after.total_uncertainty()
+from conftest import grid_graphs, q_by_rebuild, random_graph
 
 
 class TestBestSubset:

@@ -1,8 +1,8 @@
 """Graph construction, uncertainty scores, and the prediction-shift bound.
 
-The reference implementations here are plain python loops: an O(n*m) scan
-for nearest labeled neighbors, and rebuild-the-graph differencing for the
-reduction scores. The vectorized module must agree with them exactly.
+The reference implementations are plain python loops: an O(n*m) scan for
+nearest labeled neighbors, and rebuild-the-graph differencing for the
+reduction scores (conftest). The vectorized module must agree with them exactly.
 """
 
 import io
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from alregress import BoundDiagnostic, LinearModel, NNBipartiteGraph, check_bound, fit
 
-from conftest import grid_graphs, random_graph
+from conftest import grid_graphs, q_by_rebuild, random_graph
 
 
 def nn_scan(labeled, unlabeled, X):
@@ -32,15 +32,6 @@ def nn_scan(labeled, unlabeled, X):
         nn.append(best_l)
         thetas.append(best_d)
     return np.array(nn), np.array(thetas)
-
-
-def q_by_rebuild(graph, subset):
-    """Reference reduction: H minus the total after moving `subset` to labeled."""
-    subset = list(subset)
-    new_labeled = sorted(set(graph.labeled.tolist()) | set(subset))
-    new_unlabeled = [u for u in graph.unlabeled.tolist() if u not in set(subset)]
-    after = NNBipartiteGraph.build(new_labeled, new_unlabeled, graph.features)
-    return graph.total_uncertainty() - after.total_uncertainty()
 
 
 class TestBuild:

@@ -11,6 +11,7 @@ import pytest
 from alregress import (
     Dataset,
     ExperimentConfig,
+    NNBipartiteGraph,
     OracleConfig,
     RegressionSpec,
     StrategyConfig,
@@ -21,6 +22,7 @@ from alregress import (
     run_validation,
     write_trace_log,
 )
+from alregress import validation
 
 from conftest import synthetic_dataset
 
@@ -404,3 +406,30 @@ class TestValidationSuite:
         assert run_validation(seed=3, echo=lines.append) == 0
         assert any("validation passed" in line for line in lines)
         assert not any(line.startswith("FAIL") for line in lines)
+
+    def test_commit_tie_bug_fails(self, monkeypatch):
+        # the old tie rule, improves = best < old_theta: a tied new member
+        # never takes over; only the grid instances have such exact ties
+        real_commit = NNBipartiteGraph.commit
+
+        def keep_incumbent_on_ties(self, subset):
+            out = real_commit(self, subset)
+            kept = np.isin(self.unlabeled, out.unlabeled)
+            out.nn = np.where(out.thetas == self.thetas[kept], self.nn[kept], out.nn)
+            return out
+
+        monkeypatch.setattr(NNBipartiteGraph, "commit", keep_incumbent_on_ties)
+        lines = []
+        assert run_validation(seed=0, echo=lines.append) >= 1
+        assert lines[0] == "FAIL: incremental graph neighbors differ from a fresh build"
+
+    def test_bound_violation_fails_its_block_only(self, monkeypatch):
+        def violated(*args):
+            raise ValueError("bound violated")
+
+        monkeypatch.setattr(validation, "check_bound", violated)
+        lines = []
+        assert run_validation(seed=0, echo=lines.append) == 1
+        assert lines[1] == "FAIL: prediction-shift bound violated on 50/2050 draws"
+        assert lines[2].startswith("ok: local search")
+        assert lines[3].startswith("ok: threshold")
