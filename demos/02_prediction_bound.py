@@ -22,12 +22,12 @@ labeled = list(range(8))
 pool = list(range(8, 40))
 graph = NNBipartiteGraph.build(labeled, pool, X)
 
-before, _ = fit(X[labeled], y[labeled])
+before = fit(X[labeled], y[labeled])
 
 # Label the best query and refit.
 query = int(graph.unlabeled[np.argmax(graph.q_values())])
 labeled_after = sorted(labeled + [query])
-after, _ = fit(X[labeled_after], y[labeled_after])
+after = fit(X[labeled_after], y[labeled_after])
 
 print(f"queried point {query}; weight shift "
       f"max|dw| = {np.max(np.abs(after.weights - before.weights)):.4f}\n")

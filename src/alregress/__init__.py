@@ -36,7 +36,6 @@ from .experiment import (
     run_trial,
 )
 from .features import (
-    FeatureMapSpec,
     expand,
     expand_matrix,
     expanded_dim,
@@ -44,7 +43,7 @@ from .features import (
 )
 from .graph import BoundDiagnostic, NNBipartiteGraph, check_bound
 from .oracle import LabelOracle, OracleConfig
-from .regression import FitDiagnostics, LinearModel, fit, predict, rmse
+from .regression import FitDiagnostics, LinearModel, fit, fit_diagnostics, predict, rmse
 from .report import emit_report, write_trace_log
 from .strategies import (
     SelectionTrace,
@@ -67,7 +66,6 @@ __all__ = [
     "DatasetManifest",
     "ExperimentConfig",
     "ExperimentReport",
-    "FeatureMapSpec",
     "FitDiagnostics",
     "LabelOracle",
     "LinearModel",
@@ -90,6 +88,7 @@ __all__ = [
     "expand_matrix",
     "expanded_dim",
     "fit",
+    "fit_diagnostics",
     "fit_standardizer",
     "load_dataset",
     "load_manifest",

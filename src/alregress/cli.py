@@ -7,7 +7,7 @@ import sys
 
 from .experiment import ExperimentConfig, RegressionSpec, run_experiment
 from .datasets import load_manifest
-from .oracle import OracleConfig
+from .oracle import NOISE_KINDS, OracleConfig
 from .report import emit_report, write_trace_log
 from .strategies import STRATEGY_KINDS, StrategyConfig
 from .validation import run_validation
@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument("--trials", type=int, default=30)
     run_p.add_argument("--rounds", type=int, default=10)
-    run_p.add_argument("--noise", choices=["exact", "gaussian"], default="exact")
+    run_p.add_argument("--noise", choices=NOISE_KINDS, default="exact")
     run_p.add_argument("--noise-scale", type=float, default=0.1)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--out", required=True, help="output directory for the CSVs")

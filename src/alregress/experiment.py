@@ -26,7 +26,7 @@ from .datasets import (
     make_split,
     round_half_up,
 )
-from .features import FeatureMapSpec, expand_matrix
+from .features import expand_matrix
 from .graph import NNBipartiteGraph
 from .oracle import LabelOracle, OracleConfig
 from .regression import fit, predict, rmse
@@ -56,6 +56,11 @@ _STRATEGY_CODES = {
     "emcm": 6,
 }
 
+# The paper's protocol: a sequential round queries 2% of the initial pool, and
+# the up-front batch takes 20% of it.
+PER_ROUND_FRACTION = 0.02
+TOTAL_FRACTION = 0.20
+
 RANKING_CHECKPOINTS = (5, 10, 15, 20)  # percent of the initial pool queried
 
 
@@ -80,11 +85,6 @@ class RegressionSpec:
             return float(self.alpha)
         return 0.0 if self.kind == "linear" else 1.0
 
-    def feature_spec(self) -> FeatureMapSpec:
-        if self.kind == "polynomial":
-            return FeatureMapSpec(kind="polynomial", degree=self.degree)
-        return FeatureMapSpec(kind="identity")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -93,8 +93,6 @@ class ExperimentConfig:
     regression: RegressionSpec = RegressionSpec()
     trials: int = 30
     rounds: int = 10
-    per_round_fraction: float = 0.02
-    total_fraction: float = 0.20
     oracle: OracleConfig = OracleConfig()
     base_seed: int = 0
     debug_checks: bool = False
@@ -107,8 +105,6 @@ class ExperimentConfig:
             raise ValueError("duplicate strategy kinds in one experiment")
         if self.trials < 1 or self.rounds < 1:
             raise ValueError("trials and rounds must be >= 1")
-        if not 0 < self.per_round_fraction <= 1 or not 0 < self.total_fraction <= 1:
-            raise ValueError("query fractions must lie in (0, 1]")
         if self.base_seed < 0:
             raise ValueError("base_seed must be >= 0")
 
@@ -153,11 +149,9 @@ def build_model_space(dataset: Dataset, regression: RegressionSpec) -> _ModelSpa
     """Standardize raw features; for polynomial runs, expand the standardized
     features and re-standardize the expanded matrix."""
     Z = apply_standardizer(dataset.features, fit_standardizer(dataset.features))
-    spec = regression.feature_spec()
-    if spec.kind == "polynomial":
-        Z = expand_matrix(Z, spec)
-        if spec.standardize_expanded:
-            Z = apply_standardizer(Z, fit_standardizer(Z))
+    if regression.kind == "polynomial":
+        Z = expand_matrix(Z, regression.degree)
+        Z = apply_standardizer(Z, fit_standardizer(Z))
     return _ModelSpace(name=dataset.name, features=Z, targets=dataset.targets)
 
 
@@ -167,8 +161,11 @@ def _ceil_count(x: float) -> int:
 
 
 def _seed_for(trial_seed: int, salt: int, strat: StrategyConfig):
+    # Keep the trailing 0: pinned outputs were drawn with it. SeedSequence
+    # hashes zeros into the pool words that short entropy leaves empty, so it is
+    # a no-op for trial seeds below 2**32; from 2**32 on it changes every draw.
     return np.random.SeedSequence(
-        [int(trial_seed), salt, _STRATEGY_CODES[strat.kind], int(strat.rng_seed)]
+        [int(trial_seed), salt, _STRATEGY_CODES[strat.kind], 0]
     )
 
 
@@ -180,13 +177,11 @@ def _select(strat, graph, features, labels, alpha, rng):
         return select_random(graph.unlabeled, rng)
     if kind == "qbc":
         return select_qbc(
-            features, labels, graph.labeled, graph.unlabeled,
-            strat.committee_size, alpha, rng,
+            features, labels, graph.labeled, graph.unlabeled, rng, alpha=alpha
         )
     if kind == "emcm":
         return select_emcm(
-            features, labels, graph.labeled, graph.unlabeled,
-            strat.committee_size, alpha, rng,
+            features, labels, graph.labeled, graph.unlabeled, rng, alpha=alpha
         )
     raise ValueError(f"strategy {kind!r} is not a per-query strategy")
 
@@ -218,12 +213,10 @@ def _run_prepared_trial(
     graph = NNBipartiteGraph.build(split.initial_labeled, split.unlabeled_pool, Z)
     pool0 = graph.unlabeled.size
 
-    oracle = LabelOracle(
-        config.oracle, rng_seed=_seed_for(trial_seed, _ORACLE_SALT, strategy)
-    )
+    oracle = LabelOracle(config.oracle, _seed_for(trial_seed, _ORACLE_SALT, strategy))
     rng = np.random.default_rng(_seed_for(trial_seed, _STRATEGY_RNG_SALT, strategy))
 
-    model, _ = fit(Z[graph.labeled], y_work[graph.labeled], alpha)
+    model = fit(Z[graph.labeled], y_work[graph.labeled], alpha)
     rmses = [rmse(predict(model, Z[test]), y_true[test])]
     queried: list[int] = []
     scores: list[float] = []
@@ -232,7 +225,7 @@ def _run_prepared_trial(
     if strategy.kind == "ours_batch":
         k = strategy.batch_k
         if k is None:
-            k = round_half_up(config.total_fraction * pool0)
+            k = round_half_up(TOTAL_FRACTION * pool0)
         if not 1 <= k <= pool0:
             raise ValueError(f"batch size {k} outside 1..{pool0}")
         trace = select_ours_batch(graph, k, build_seed_set(graph, k))
@@ -244,13 +237,13 @@ def _run_prepared_trial(
         queried = chosen.tolist()
         scores = [trace.score] * k
         query_rounds = [1] * k
-        model, _ = fit(Z[graph.labeled], y_work[graph.labeled], alpha)
+        model = fit(Z[graph.labeled], y_work[graph.labeled], alpha)
         flat = rmse(predict(model, Z[test]), y_true[test])
         rmses.extend([flat] * config.rounds)
         if config.debug_checks:
             check_graph(graph)
     else:
-        per_round = _ceil_count(config.per_round_fraction * pool0)
+        per_round = _ceil_count(PER_ROUND_FRACTION * pool0)
         if per_round * config.rounds > pool0:
             raise ValueError(
                 f"pool of {pool0} cannot supply {per_round} queries for "
@@ -275,7 +268,7 @@ def _run_prepared_trial(
                 queried.append(u)
                 scores.append(score)
                 query_rounds.append(rnd)
-            model, _ = fit(Z[graph.labeled], y_work[graph.labeled], alpha)
+            model = fit(Z[graph.labeled], y_work[graph.labeled], alpha)
             rmses.append(rmse(predict(model, Z[test]), y_true[test]))
             if config.debug_checks:
                 check_graph(graph)
@@ -294,7 +287,7 @@ def _run_prepared_trial(
 def _checkpoint_rounds(config: ExperimentConfig) -> dict[int, int]:
     out: dict[int, int] = {}
     for pct in RANKING_CHECKPOINTS:
-        rnd = round_half_up((pct / 100.0) / config.per_round_fraction)
+        rnd = round_half_up((pct / 100.0) / PER_ROUND_FRACTION)
         if 1 <= rnd <= config.rounds:
             out[pct] = rnd
     return out

@@ -15,6 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+# Absolute slack of the prediction-shift cap for float rounding: check_bound
+# and validation.bound_violations (acceptance criterion 2) both allow it.
+BOUND_TOL = 1e-12
+
 # Candidate columns scored per block in q_values; bounds the distance matrix
 # held in memory to |U| x _BLOCK.
 _BLOCK = 1024
@@ -231,7 +235,7 @@ def check_bound(model_before, model_after, x_u, x_l) -> BoundDiagnostic:
     delta_u = float(abs(np.dot(dw, x_u - x_l)))
     lambda_max = float(np.max(np.abs(dw))) if dw.size else 0.0
     l1_distance = float(np.sum(np.abs(x_u - x_l)))
-    if delta_u > lambda_max * l1_distance + 1e-9:
+    if delta_u > lambda_max * l1_distance + BOUND_TOL:
         raise ValueError(
             f"bound violated: delta {delta_u} > {lambda_max * l1_distance}"
         )

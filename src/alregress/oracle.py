@@ -22,7 +22,6 @@ NOISE_KINDS = ("exact", "gaussian")
 class OracleConfig:
     noise_kind: str = "exact"
     noise_scale: float = 0.1
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.noise_kind not in NOISE_KINDS:
@@ -34,9 +33,8 @@ class OracleConfig:
 class LabelOracle:
     """Answers label queries for known ground-truth targets."""
 
-    def __init__(self, config: OracleConfig, rng_seed=None):
+    def __init__(self, config: OracleConfig, seed: int | np.random.SeedSequence):
         self.config = config
-        seed = config.rng_seed if rng_seed is None else rng_seed
         self._rng = np.random.default_rng(seed)
         self.queries_answered = 0
 

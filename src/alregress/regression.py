@@ -35,9 +35,7 @@ class FitDiagnostics:
     effective_rank_deficient: bool
 
 
-def fit(
-    X: np.ndarray, y: np.ndarray, alpha: float = 0.0
-) -> tuple[LinearModel, FitDiagnostics]:
+def fit(X: np.ndarray, y: np.ndarray, alpha: float = 0.0) -> LinearModel:
     """Solve the penalized least-squares problem.
 
     Args:
@@ -46,9 +44,7 @@ def fit(
         alpha: ridge penalty on the weights (never on the bias), >= 0.
 
     Returns:
-        (LinearModel, FitDiagnostics). The diagnostics report the relative
-        stationarity residual of the solved system and whether the augmented
-        design [X | 1] is column-rank deficient.
+        The fitted LinearModel. fit_diagnostics checks it against the problem.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -69,20 +65,30 @@ def fit(
     stacked = np.vstack([aug, penalty])
     rhs = np.concatenate([y, np.zeros(D)])
     sol, _, _, _ = scipy.linalg.lstsq(stacked, rhs)
-    w = sol[:D]
-    b = float(sol[D])
+    return LinearModel(weights=sol[:D], bias=float(sol[D]), ridge_alpha=alpha)
 
-    resid_pred = aug @ sol - y
-    grad_w = X.T @ resid_pred + alpha_eff * w
+
+def fit_diagnostics(X: np.ndarray, y: np.ndarray, model: LinearModel) -> FitDiagnostics:
+    """The relative stationarity residual of ``model`` as fit's solution on
+    (X, y), and whether the augmented design [X | 1] is column-rank deficient.
+
+    The rank test is a second SVD of the design, so fit leaves it to callers
+    that read it.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    m, D = X.shape
+    alpha_eff = model.ridge_alpha if model.ridge_alpha > 0 else FLOOR_ALPHA
+    aug = np.hstack([X, np.ones((m, 1))])
+    resid_pred = aug @ np.append(model.weights, model.bias) - y
+    grad_w = X.T @ resid_pred + alpha_eff * model.weights
     grad_b = float(np.sum(resid_pred))
     resid_norm = float(np.sqrt(np.sum(grad_w**2) + grad_b**2))
     rhs_norm = float(np.sqrt(np.sum((X.T @ y) ** 2) + np.sum(y) ** 2))
-    rel_resid = resid_norm / max(1.0, rhs_norm)
-
     deficient = np.linalg.matrix_rank(aug) < D + 1
-    model = LinearModel(weights=w, bias=b, ridge_alpha=alpha)
-    return model, FitDiagnostics(
-        normal_equation_residual=rel_resid, effective_rank_deficient=bool(deficient)
+    return FitDiagnostics(
+        normal_equation_residual=resid_norm / max(1.0, rhs_norm),
+        effective_rank_deficient=bool(deficient),
     )
 
 

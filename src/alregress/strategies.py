@@ -34,15 +34,11 @@ STRATEGY_KINDS = (
 @dataclass(frozen=True)
 class StrategyConfig:
     kind: str
-    committee_size: int = 4
-    rng_seed: int = 0
     batch_k: int | None = None
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.committee_size < 2:
-            raise ValueError("committee_size must be >= 2")
         if self.batch_k is not None and self.batch_k < 1:
             raise ValueError("batch_k must be positive")
 
@@ -134,13 +130,12 @@ def select_ours_batch(
     graph: NNBipartiteGraph,
     k: int,
     seed_set: np.ndarray | None = None,
-    tol: float = SWAP_TOL,
 ) -> SelectionTrace:
     """Single-swap local search over k-subsets, maximizing q_set.
 
     Scans candidates u outside S in ascending index order and members l of S
     in ascending index order, accepting the first swap that improves q_set by
-    more than ``tol``; repeats full passes until one makes no change.
+    more than SWAP_TOL; repeats full passes until one makes no change.
     """
     nU = graph.unlabeled.size
     if not 1 <= k <= nU:
@@ -153,7 +148,7 @@ def select_ours_batch(
 
     XU = graph.features[graph.unlabeled]
     D = cdist(XU, XU, "cityblock")
-    final_pos, q_hist, swaps = _local_search(graph, D, seed_pos, tol)
+    final_pos, q_hist, swaps = _local_search(graph, D, seed_pos)
     return SelectionTrace(
         chosen=graph.unlabeled[final_pos],
         score=q_hist[-1],
@@ -204,7 +199,7 @@ def _swap_deltas(D, theta, S, u, state):
     return total_base - base_by_l + repl_by_l + cost[u] - new_member_cost
 
 
-def _local_search(graph, D, S, tol):
+def _local_search(graph, D, S):
     """Swap passes from the sorted pool positions ``S``; returns the final
     positions, q_set of the set after every accepted swap, and the swap
     count."""
@@ -225,7 +220,7 @@ def _local_search(graph, D, S, tol):
             if state is None:
                 state = _pool_state(D, theta, S)
             deltas = _swap_deltas(D, theta, S, int(u), state)
-            hits = np.nonzero(deltas > tol)[0]
+            hits = np.nonzero(deltas > SWAP_TOL)[0]
             if hits.size:
                 removed = int(S[int(hits[0])])
                 in_set[removed] = False
@@ -274,7 +269,7 @@ def _bootstrap_predictions(features, labels, labeled, unlabeled, n_members, alph
     X_pool = features[unlabeled]
     for b in range(n_members):
         idx = rng.integers(0, m, size=m)
-        model, _ = fit(X_lab[idx], y_lab[idx], alpha)
+        model = fit(X_lab[idx], y_lab[idx], alpha)
         preds[b] = predict(model, X_pool)
     return preds
 
@@ -284,9 +279,9 @@ def select_qbc(
     labels: np.ndarray,
     labeled: np.ndarray,
     unlabeled: np.ndarray,
+    rng: np.random.Generator,
     committee_size: int = 4,
     alpha: float = 0.0,
-    rng: np.random.Generator | None = None,
 ) -> SelectionTrace:
     """Query by committee: maximize population variance of bootstrap predictions."""
     labeled = np.asarray(labeled, dtype=np.int64)
@@ -295,8 +290,6 @@ def select_qbc(
         raise ValueError("cannot select from an empty pool")
     if committee_size < 2:
         raise ValueError("committee_size must be >= 2")
-    if rng is None:
-        rng = np.random.default_rng(0)
     preds = _bootstrap_predictions(
         features, labels, labeled, unlabeled, committee_size, alpha, rng
     )
@@ -310,9 +303,9 @@ def select_emcm(
     labels: np.ndarray,
     labeled: np.ndarray,
     unlabeled: np.ndarray,
+    rng: np.random.Generator,
     ensemble_size: int = 4,
     alpha: float = 0.0,
-    rng: np.random.Generator | None = None,
 ) -> SelectionTrace:
     """Expected model change: mean over the ensemble of
     |f(x) - f_b(x)| * ||x with intercept||_2, maximized over the pool."""
@@ -322,9 +315,7 @@ def select_emcm(
         raise ValueError("cannot select from an empty pool")
     if ensemble_size < 2:
         raise ValueError("ensemble_size must be >= 2")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    main, _ = fit(features[labeled], labels[labeled], alpha)
+    main = fit(features[labeled], labels[labeled], alpha)
     f_main = predict(main, features[unlabeled])
     preds = _bootstrap_predictions(
         features, labels, labeled, unlabeled, ensemble_size, alpha, rng

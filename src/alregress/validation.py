@@ -20,7 +20,7 @@ from .exhaustive import (
     mmmd_decide,
     mmtd_decide,
 )
-from .graph import NNBipartiteGraph, check_bound
+from .graph import BOUND_TOL, NNBipartiteGraph, check_bound
 from .regression import LinearModel
 from .strategies import build_seed_set, select_ours_batch
 
@@ -76,14 +76,14 @@ def bound_violations(rng, draws: int) -> int:
         dw = w_star - w
         delta = np.abs(np.sum(dw * (x_u - x_l), axis=1))
         bound = np.max(np.abs(dw), axis=1) * np.sum(np.abs(x_u - x_l), axis=1)
-        violations += int(np.sum(delta > bound + 1e-12))
+        violations += int(np.sum(delta > bound + BOUND_TOL))
     for _ in range(_CHECK_BOUND_SAMPLE):
         d = int(rng.integers(1, 21))
         before = LinearModel(weights=rng.normal(size=d), bias=0.0, ridge_alpha=0.0)
         after = LinearModel(weights=rng.normal(size=d), bias=0.0, ridge_alpha=0.0)
         try:
             diag = check_bound(before, after, rng.normal(size=d), rng.normal(size=d))
-            violations += int(diag.delta_u > diag.bound + 1e-12)
+            violations += int(diag.delta_u > diag.bound + BOUND_TOL)
         except ValueError:
             violations += 1
     return violations

@@ -23,6 +23,7 @@ from alregress import (
     OracleConfig,
     StrategyConfig,
     fit,
+    fit_diagnostics,
     load_dataset,
     load_manifest,
     run_experiment,
@@ -163,11 +164,11 @@ def test_criterion_06_solver_recovery():
     X = rng.normal(size=(100, 10))
     w_true = rng.normal(size=10)
     y = X @ w_true + 1.5
-    model, _ = fit(X, y, alpha=0.0)
+    model = fit(X, y, alpha=0.0)
     rel_err = float(
         np.linalg.norm(model.weights - w_true) / np.linalg.norm(w_true)
     )
-    _, ridge_diag = fit(X, y, alpha=1.0)
+    ridge_diag = fit_diagnostics(X, y, fit(X, y, alpha=1.0))
     resid = ridge_diag.normal_equation_residual
     ok = rel_err <= 1e-6 and resid <= 1e-8
     record_criterion(

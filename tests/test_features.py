@@ -6,15 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alregress import (
-    FeatureMapSpec,
     expand,
     expand_matrix,
     expanded_dim,
     monomial_index_tuples,
 )
-
-POLY2 = FeatureMapSpec(kind="polynomial", degree=2)
-POLY3 = FeatureMapSpec(kind="polynomial", degree=3)
 
 
 class TestOrdering:
@@ -46,43 +42,34 @@ class TestWidth:
         [(3, 2, 9), (6, 2, 27), (1, 3, 3), (2, 2, 5), (13, 2, 104)],
     )
     def test_closed_form(self, d, degree, width):
-        spec = FeatureMapSpec(kind="polynomial", degree=degree)
-        assert expanded_dim(d, spec) == width
+        assert expanded_dim(d, degree) == width
         assert len(monomial_index_tuples(d, degree)) == width
-
-    def test_identity_width(self):
-        assert expanded_dim(7, FeatureMapSpec(kind="identity")) == 7
 
     @given(d=st.integers(1, 8), degree=st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
     def test_width_matches_tuple_count(self, d, degree):
-        spec = FeatureMapSpec(kind="polynomial", degree=degree)
-        assert expanded_dim(d, spec) == len(monomial_index_tuples(d, degree))
+        assert expanded_dim(d, degree) == len(monomial_index_tuples(d, degree))
 
 
 class TestValues:
     def test_two_vars_degree_two_row(self):
-        row = expand(np.array([2.0, 3.0]), POLY2)
+        row = expand(np.array([2.0, 3.0]), 2)
         assert row.tolist() == [2.0, 3.0, 4.0, 6.0, 9.0]
 
     def test_cubic_of_single_var(self):
-        row = expand(np.array([-2.0]), POLY3)
+        row = expand(np.array([-2.0]), 3)
         assert row.tolist() == [-2.0, 4.0, -8.0]
 
     def test_matrix_rows_match_vector_map(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(6, 3))
-        M = expand_matrix(X, POLY2)
+        M = expand_matrix(X, 2)
         for i in range(6):
-            np.testing.assert_array_equal(M[i], expand(X[i], POLY2))
-
-    def test_identity_matrix_returned_unchanged(self):
-        X = np.arange(6.0).reshape(3, 2)
-        assert expand_matrix(X, FeatureMapSpec(kind="identity")) is X
+            np.testing.assert_array_equal(M[i], expand(X[i], 2))
 
     def test_no_bias_column(self):
         # the all-ones monomial (degree 0) must not appear
-        M = expand_matrix(np.zeros((4, 3)), POLY2)
+        M = expand_matrix(np.zeros((4, 3)), 2)
         assert np.all(M == 0.0)
 
     @given(
@@ -91,26 +78,21 @@ class TestValues:
     )
     @settings(max_examples=60, deadline=None)
     def test_each_column_is_its_monomial(self, x, degree):
-        spec = FeatureMapSpec(kind="polynomial", degree=degree)
         vec = np.array(x)
-        row = expand(vec, spec)
+        row = expand(vec, degree)
         for j, combo in enumerate(monomial_index_tuples(len(x), degree)):
             assert row[j] == pytest.approx(np.prod(vec[list(combo)]), rel=1e-12)
 
 
 class TestValidation:
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            FeatureMapSpec(kind="fourier")
-
     def test_bad_degree(self):
         with pytest.raises(ValueError):
-            FeatureMapSpec(kind="polynomial", degree=0)
+            expand_matrix(np.zeros((2, 2)), 0)
 
     def test_expand_rejects_matrix_input(self):
         with pytest.raises(ValueError):
-            expand(np.zeros((2, 2)), POLY2)
+            expand(np.zeros((2, 2)), 2)
 
     def test_expand_matrix_rejects_vector_input(self):
         with pytest.raises(ValueError):
-            expand_matrix(np.zeros(3), POLY2)
+            expand_matrix(np.zeros(3), 2)

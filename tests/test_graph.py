@@ -211,8 +211,8 @@ class TestBound:
             d = int(rng.integers(1, 6))
             X = rng.normal(size=(12, d))
             y = rng.normal(size=12)
-            m0, _ = fit(X[:8], y[:8])
-            m1, _ = fit(X, y)
+            m0 = fit(X[:8], y[:8])
+            m1 = fit(X, y)
             diag = check_bound(m0, m1, X[9], X[3])
             assert diag.delta_u <= diag.bound + 1e-9
 

@@ -25,21 +25,21 @@ class TestConfig:
 
 class TestExact:
     def test_returns_truth_and_counts(self):
-        oracle = LabelOracle(OracleConfig())
+        oracle = LabelOracle(OracleConfig(), 0)
         assert oracle.label(TARGETS, 2, TARGETS[:1]) == 30.0
         assert oracle.label(TARGETS, 0, TARGETS[:2]) == 10.0
         assert oracle.queries_answered == 2
 
     def test_index_out_of_range(self):
-        oracle = LabelOracle(OracleConfig())
+        oracle = LabelOracle(OracleConfig(), 0)
         with pytest.raises(ValueError):
             oracle.label(TARGETS, 4, TARGETS[:1])
 
 
 class TestGaussian:
     def test_matches_replayed_stream(self):
-        cfg = OracleConfig(noise_kind="gaussian", noise_scale=0.1, rng_seed=12)
-        oracle = LabelOracle(cfg)
+        cfg = OracleConfig(noise_kind="gaussian", noise_scale=0.1)
+        oracle = LabelOracle(cfg, 12)
         known = np.array([1.0, 2.0, 3.0])
         got = oracle.label(TARGETS, 1, known)
         rng = np.random.default_rng(12)
@@ -52,7 +52,7 @@ class TestGaussian:
         devs = {}
         for name, known in [("wide", wide), ("narrow", narrow)]:
             oracle = LabelOracle(
-                OracleConfig(noise_kind="gaussian", noise_scale=0.1, rng_seed=5)
+                OracleConfig(noise_kind="gaussian", noise_scale=0.1), 5
             )
             draws = [
                 oracle.label(TARGETS, 0, known) - 10.0 for _ in range(200)
@@ -61,22 +61,22 @@ class TestGaussian:
         assert devs["wide"] > 20 * devs["narrow"]
 
     def test_scale_zero_is_exact(self):
-        oracle = LabelOracle(OracleConfig(noise_kind="gaussian", noise_scale=0.0))
+        oracle = LabelOracle(OracleConfig(noise_kind="gaussian", noise_scale=0.0), 0)
         assert oracle.label(TARGETS, 3, np.array([1.0, 5.0])) == 40.0
 
     def test_constant_labels_floor_the_spread(self):
         # all known labels equal: spread is floored, answers stay ~exact
-        oracle = LabelOracle(OracleConfig(noise_kind="gaussian", rng_seed=3))
+        oracle = LabelOracle(OracleConfig(noise_kind="gaussian"), 3)
         got = oracle.label(TARGETS, 1, np.array([7.0, 7.0, 7.0]))
         assert got == pytest.approx(20.0, abs=1e-9)
 
     def test_single_known_label_is_degenerate_spread(self):
-        oracle = LabelOracle(OracleConfig(noise_kind="gaussian", rng_seed=3))
+        oracle = LabelOracle(OracleConfig(noise_kind="gaussian"), 3)
         got = oracle.label(TARGETS, 1, np.array([7.0]))
         assert got == pytest.approx(20.0, abs=1e-9)
 
     def test_no_known_labels_rejected(self):
-        oracle = LabelOracle(OracleConfig(noise_kind="gaussian"))
+        oracle = LabelOracle(OracleConfig(noise_kind="gaussian"), 0)
         with pytest.raises(ValueError):
             oracle.label(TARGETS, 0, np.array([]))
 
@@ -85,18 +85,9 @@ class TestGaussian:
         # zero-valued truths expose the raw noise draws for exact comparison
         targets = np.array([0.0, 5.0, 0.0, 7.0])
         known = np.array([1.0, 4.0])
-        a = LabelOracle(OracleConfig(noise_kind="gaussian", rng_seed=9))
-        b = LabelOracle(OracleConfig(noise_kind="gaussian", rng_seed=9))
+        a = LabelOracle(OracleConfig(noise_kind="gaussian"), 9)
+        b = LabelOracle(OracleConfig(noise_kind="gaussian"), 9)
         noise_a = [a.label(targets, 0, known) for _ in range(5)]
         noise_b = [b.label(targets, 2, known) for _ in range(5)]
         assert noise_a == noise_b
         assert a.queries_answered == b.queries_answered == 5
-
-    def test_seed_override_beats_config_seed(self):
-        cfg = OracleConfig(noise_kind="gaussian", rng_seed=1)
-        default_seed = LabelOracle(cfg)
-        overridden = LabelOracle(cfg, rng_seed=2)
-        known = np.array([0.0, 10.0])
-        assert default_seed.label(TARGETS, 0, known) != overridden.label(
-            TARGETS, 0, known
-        )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alregress import LinearModel, fit, predict, rmse
+from alregress import LinearModel, fit, fit_diagnostics, predict, rmse
 
 RMSE_3_4 = 3.5355339059327378  # sqrt((3^2 + 4^2) / 2)
 
@@ -32,7 +32,8 @@ class TestFit:
     def test_exact_line_through_two_points(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([1.0, 3.0])
-        model, diag = fit(X, y, alpha=0.0)
+        model = fit(X, y, alpha=0.0)
+        diag = fit_diagnostics(X, y, model)
         assert model.weights[0] == pytest.approx(2.0, abs=1e-6)
         assert model.bias == pytest.approx(1.0, abs=1e-6)
         assert diag.normal_equation_residual < 1e-6
@@ -43,7 +44,8 @@ class TestFit:
         X = rng.normal(size=(60, 5))
         w = np.array([2.0, -1.0, 0.5, 0.0, 3.0])
         y = X @ w + 4.0
-        model, diag = fit(X, y, alpha=0.0)
+        model = fit(X, y, alpha=0.0)
+        diag = fit_diagnostics(X, y, model)
         np.testing.assert_allclose(model.weights, w, atol=1e-6)
         assert model.bias == pytest.approx(4.0, abs=1e-6)
         assert diag.normal_equation_residual < 1e-8
@@ -53,7 +55,8 @@ class TestFit:
         for alpha in (0.25, 1.0, 10.0):
             X = rng.normal(size=(40, 4))
             y = rng.normal(size=40)
-            model, diag = fit(X, y, alpha=alpha)
+            model = fit(X, y, alpha=alpha)
+            diag = fit_diagnostics(X, y, model)
             w_ref, b_ref = ridge_normal_equations(X, y, alpha)
             np.testing.assert_allclose(model.weights, w_ref, atol=1e-9)
             assert model.bias == pytest.approx(b_ref, abs=1e-9)
@@ -64,21 +67,23 @@ class TestFit:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(30, 3))
         y = rng.normal(size=30)
-        loose, _ = fit(X, y, alpha=0.0)
-        tight, _ = fit(X, y, alpha=100.0)
+        loose = fit(X, y, alpha=0.0)
+        tight = fit(X, y, alpha=100.0)
         assert np.linalg.norm(tight.weights) < np.linalg.norm(loose.weights)
 
     def test_intercept_not_penalized(self):
         # constant targets: any alpha should still return bias ~= the constant
         X = np.random.default_rng(3).normal(size=(25, 2))
         y = np.full(25, 7.5)
-        model, _ = fit(X, y, alpha=1e6)
+        model = fit(X, y, alpha=1e6)
         assert model.bias == pytest.approx(7.5, abs=1e-4)
         np.testing.assert_allclose(model.weights, 0.0, atol=1e-4)
 
     def test_single_row_is_fittable(self):
         # underdetermined: flagged deficient, prediction still reproduces the row
-        model, diag = fit(np.array([[2.0, 1.0]]), np.array([5.0]), alpha=0.0)
+        X, y = np.array([[2.0, 1.0]]), np.array([5.0])
+        model = fit(X, y, alpha=0.0)
+        diag = fit_diagnostics(X, y, model)
         assert diag.effective_rank_deficient
         assert predict(model, np.array([[2.0, 1.0]]))[0] == pytest.approx(
             5.0, abs=1e-5
@@ -87,7 +92,7 @@ class TestFit:
     def test_duplicate_column_flags_deficiency(self):
         X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
         y = np.array([1.0, 2.0, 3.0, 4.0])
-        _, diag = fit(X, y, alpha=0.0)
+        diag = fit_diagnostics(X, y, fit(X, y, alpha=0.0))
         assert diag.effective_rank_deficient
 
     def test_input_validation(self):
@@ -107,7 +112,7 @@ class TestFit:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(20, 3))
         y = rng.normal(size=20)
-        _, diag = fit(X, y, alpha=alpha)
+        diag = fit_diagnostics(X, y, fit(X, y, alpha=alpha))
         assert diag.normal_equation_residual < 1e-7
 
 
