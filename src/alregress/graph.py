@@ -208,14 +208,6 @@ class NNBipartiteGraph:
         new_nn = np.where(improves, cand, old_nn)
         return NNBipartiteGraph(self.features, new_labeled, rest, new_nn, new_theta)
 
-    # -- diagnostics -------------------------------------------------------
-
-    def dump(self, fh) -> None:
-        """Write edges as delimited text: one ``u,nn,theta`` row per edge."""
-        fh.write("u,nn,theta\n")
-        for u, v, w in zip(self.unlabeled, self.nn, self.thetas):
-            fh.write(f"{int(u)},{int(v)},{float(w)!r}\n")
-
 
 def check_bound(model_before, model_after, x_u, x_l) -> BoundDiagnostic:
     """Evaluate the prediction-shift bound between two fitted linear models.

@@ -21,6 +21,14 @@ from .regression import fit, predict
 # Minimum strict improvement for a batch swap to be accepted.
 SWAP_TOL = 1e-12
 
+# Swap gains (candidates x members), and near pairs, the batch search
+# holds for one block of candidates; a block has at least one candidate.
+_SWAP_BLOCK = 1 << 16
+
+# Distances held at once while the batch search builds its pair list or
+# ranks member columns.
+_PAIR_BLOCK = 1 << 18
+
 STRATEGY_KINDS = (
     "ours_sequential",
     "ours_batch",
@@ -133,9 +141,17 @@ def select_ours_batch(
 ) -> SelectionTrace:
     """Single-swap local search over k-subsets, maximizing q_set.
 
-    Scans candidates u outside S in ascending index order and members l of S
-    in ascending index order, accepting the first swap that improves q_set by
-    more than SWAP_TOL; repeats full passes until one makes no change.
+    Each pass fixes its candidates, the points outside S at its start, and
+    scans them in ascending index order. A candidate u is swapped in for the
+    smallest member l whose swap raises q_set by more than SWAP_TOL, and the
+    scan goes on after u. Passes repeat until one makes no change.
+
+    The swap gains come from _SwapSearch, which holds no pool x pool array.
+    ``q_history`` is q_set of the seed and of the set after each accepted
+    swap, bitwise, and ``score`` is its last entry. A gain is the quantity a
+    dense evaluation computes, summed in another order: decisions equal the
+    dense reference's on integer data, and on other data unless some gain
+    lies within summation error of SWAP_TOL.
     """
     nU = graph.unlabeled.size
     if not 1 <= k <= nU:
@@ -145,92 +161,192 @@ def select_ours_batch(
     seed_pos = graph._subset_positions(seed_set)
     if seed_pos.size != k:
         raise ValueError(f"seed set must hold {k} distinct indices")
+    if k == nU:  # no candidate to swap in
+        q = graph.q_set(graph.unlabeled)
+        return SelectionTrace(chosen=graph.unlabeled.copy(), score=q, q_history=(q,))
 
-    XU = graph.features[graph.unlabeled]
-    D = cdist(XU, XU, "cityblock")
-    final_pos, q_hist, swaps = _local_search(graph, D, seed_pos)
+    search = _SwapSearch(graph, seed_pos)
+    q_hist = [search.q_set()]
+    swaps = 0
+    max_width = max(1, _SWAP_BLOCK // k)
+    changed = True
+    while changed:
+        changed = False
+        candidates = np.flatnonzero(~search.in_set)
+        pairs_before = np.zeros(candidates.size + 1, dtype=np.int64)
+        np.cumsum(np.diff(search.ptr)[candidates], out=pairs_before[1:])
+        i, width = 0, 1
+        while i < candidates.size:
+            # Widening blocks: all of a block is scored against one set, and
+            # after a swap the scan restarts, small, just past the swapped-in u.
+            cap = pairs_before[i] + _SWAP_BLOCK
+            fits = np.searchsorted(pairs_before, cap, "right") - 1
+            block = candidates[i : max(i + 1, min(i + width, fits))]
+            hit = search.first_gain(block)
+            if hit is None:
+                i += block.size
+                width = min(2 * width, max_width)
+                continue
+            pos, slot = hit
+            search.swap(slot, int(block[pos]))
+            swaps += 1
+            changed = True
+            q_hist.append(search.q_set())
+            i, width = i + pos + 1, 1
     return SelectionTrace(
-        chosen=graph.unlabeled[final_pos],
+        chosen=graph.unlabeled[np.sort(search.members)],
         score=q_hist[-1],
         swaps_performed=swaps,
         q_history=tuple(q_hist),
     )
 
 
-def _pool_state(D, theta, S):
-    """Nearest/second-nearest bookkeeping for the current member set S."""
-    k = S.size
-    cols = D[:, S]
-    m1pos = cols.argmin(axis=1)
-    m1 = cols[np.arange(cols.shape[0]), m1pos]
-    if k >= 2:
-        m2 = np.partition(cols, 1, axis=1)[:, 1]
-    else:
-        m2 = np.full(cols.shape[0], np.inf)
-    cost = np.minimum(theta, m1)
-    fallback = np.minimum(theta, m2)  # cost if the owning member is removed
-    owner = m1 < theta  # rows whose cost actually comes from a member
-    # Member rows see their own zero as m1; m2 is their distance to the rest.
-    member_fallback = np.minimum(theta[S], m2[S])
-    return m1pos, cost, fallback, owner, member_fallback
+def _near_pairs(X, theta):
+    """Every pair (j, u) with L1(x_j, x_u) < theta[j], grouped by u.
 
-
-def _swap_deltas(D, theta, S, u, state):
-    """q_set(S - l + u) - q_set(S) for every l in S, as one vector.
-
-    Exact algebraic decomposition: clients not owned by l gain
-    max(0, cost - d(j,u)) regardless of l; clients owned by l fall back to
-    min(fallback, d(j,u)); u stops being a client; l becomes one.
+    Returns ``ptr, rows, dist``: u's rows, ascending, are
+    ``rows[ptr[u]:ptr[u + 1]]`` and their distances the same slice of
+    ``dist``. Built from blocks of candidate rows of cdist, at most
+    _PAIR_BLOCK distances at a time. Only these pairs can move a swap gain,
+    because a row's cost and fallback never exceed its weight. The list
+    holds one entry per pair, 2% of pool x pool at the whitewine stand-in;
+    it holds every pair only when the labeled set lies far from every pool
+    point.
     """
-    m1pos, cost, fallback, owner, member_fallback = state
-    k = S.size
-    du = D[:, u]
-    client = np.ones(D.shape[0], dtype=bool)
-    client[S] = False
-    client[u] = False
-    base_gain = np.where(client, np.maximum(cost - du, 0.0), 0.0)
-    total_base = base_gain.sum()
-    owned = client & owner
-    owner_idx = m1pos[owned]
-    base_by_l = np.bincount(owner_idx, weights=base_gain[owned], minlength=k)
-    repl_gain = cost - np.minimum(fallback, du)
-    repl_by_l = np.bincount(owner_idx, weights=repl_gain[owned], minlength=k)
-    new_member_cost = np.minimum(member_fallback, du[S])
-    return total_base - base_by_l + repl_by_l + cost[u] - new_member_cost
+    n = X.shape[0]
+    step = max(1, _PAIR_BLOCK // n)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    rows, dist = [], []
+    for start in range(0, n, step):
+        # Rows are candidates u: d(u, j) equals d(j, u) bit for bit, since
+        # each term |a - b| is symmetric and the terms sum in one order.
+        d = cdist(X[start : start + step], X, "cityblock")
+        near = d < theta
+        ptr[start + 1 : start + 1 + d.shape[0]] = near.sum(axis=1)
+        rows.append(np.nonzero(near)[1].astype(np.int32))
+        dist.append(d[near])
+    np.cumsum(ptr, out=ptr)
+    return ptr, np.concatenate(rows), np.concatenate(dist)
 
 
-def _local_search(graph, D, S):
-    """Swap passes from the sorted pool positions ``S``; returns the final
-    positions, q_set of the set after every accepted swap, and the swap
-    count."""
-    theta = graph.thetas
-    in_set = np.zeros(theta.size, dtype=bool)
-    in_set[S] = True
-    swaps = 0
-    q_hist = [graph.q_set(graph.unlabeled[S])]
-    if S.size == theta.size:
-        return S, q_hist, swaps
-    changed = True
-    while changed:
-        changed = False
-        state = None
-        for u in np.where(~in_set)[0]:
-            if in_set[u]:
-                continue  # swapped in earlier this pass
-            if state is None:
-                state = _pool_state(D, theta, S)
-            deltas = _swap_deltas(D, theta, S, int(u), state)
-            hits = np.nonzero(deltas > SWAP_TOL)[0]
-            if hits.size:
-                removed = int(S[int(hits[0])])
-                in_set[removed] = False
-                in_set[u] = True
-                S = np.sort(np.concatenate([S[S != removed], [u]]))
-                swaps += 1
-                changed = True
-                state = None
-                q_hist.append(graph.q_set(graph.unlabeled[S]))
-    return S, q_hist, swaps
+class _SwapSearch:
+    """Swap gains of a k-subset S of the pool, kept up to date across swaps.
+
+    Members sit in slots; ``cols`` holds each member's distance column (pool
+    x k). Per pool row j it keeps m1 and m2, the nearest and second-nearest
+    member distances (m2 = m1 on a tie), and ``owner``, the slot of m1.
+    Then cost_j = min(theta_j, m1) is j's weight under S and fallback_j =
+    min(theta_j, m2) its weight once its owner leaves. The gain of swapping
+    candidate u in for the member in slot l is exactly
+
+        G(u) - loss[l] + C(u, l) + max(0, member_fallback[l] - d(l, u)),
+
+    where, over non-member rows j,
+      G(u) = sum of max(0, cost_j - d(j, u)),
+      loss[l] = member_fallback[l] + sum of fallback_j - cost_j owned by l,
+      C(u, l) = sum of fallback_j - max(d(j, u), cost_j) over rows owned by
+      l with d(j, u) < fallback_j,
+    and member_fallback[l] is l's own weight once it leaves. u's own row, at
+    distance 0, adds its weight cost_u to G and, when l owns it, takes its
+    term back out of loss[l] through C. G and C read only the near pairs of
+    u (see _near_pairs). A tied row has fallback = cost, so it adds nothing
+    to loss or C whichever slot owns it.
+    """
+
+    def __init__(self, graph, seed_pos):
+        self.X = graph.features[graph.unlabeled]
+        self.theta = graph.thetas
+        self.h = graph.total_uncertainty()
+        self.ptr, self.rows, self.dist = _near_pairs(self.X, self.theta)
+        n, k = self.theta.size, seed_pos.size
+        self.k = k
+        self.members = seed_pos.copy()
+        self.in_set = np.zeros(n, dtype=bool)
+        self.in_set[seed_pos] = True
+        self.cols = cdist(self.X, self.X[seed_pos], "cityblock")
+        self.m1 = np.empty(n)
+        self.m2 = np.empty(n)
+        self.owner = np.empty(n, dtype=np.int64)
+        self._rank(np.arange(n))
+        self._derive()
+
+    def _rank(self, rows):
+        """Recompute m1, m2 and owner of ``rows`` from the member columns."""
+        step = max(1, _PAIR_BLOCK // self.k)
+        for start in range(0, rows.size, step):
+            r = rows[start : start + step]
+            cols = self.cols[r]
+            pos = cols.argmin(axis=1)
+            self.owner[r] = pos
+            self.m1[r] = cols[np.arange(r.size), pos]
+            self.m2[r] = np.partition(cols, 1, axis=1)[:, 1] if self.k > 1 else np.inf
+
+    def _derive(self):
+        """cost, fallback and the per-slot loss from m1, m2 and owner."""
+        self.cost = np.minimum(self.theta, self.m1)
+        self.fallback = np.minimum(self.theta, self.m2)
+        out = ~self.in_set
+        self.member_fallback = self.fallback[self.members]
+        self.loss = self.member_fallback + np.bincount(
+            self.owner[out],
+            weights=(self.fallback - self.cost)[out],
+            minlength=self.k,
+        )
+
+    def q_set(self) -> float:
+        """graph.q_set of the current set, bitwise: commit leaves each
+        non-member the weight cost_j, and H' sums them in index order."""
+        return self.h - float(np.sum(self.cost[~self.in_set]))
+
+    def first_gain(self, block):
+        """(position in ``block``, slot) of the first candidate with a swap
+        gain above SWAP_TOL and, for it, the smallest member index; or None."""
+        lo, hi = self.ptr[block], self.ptr[block + 1]
+        lens = hi - lo
+        ends = np.cumsum(lens)
+        idx = np.arange(ends[-1]) + np.repeat(lo - ends + lens, lens)
+        j, d = self.rows[idx], self.dist[idx]
+        at = np.repeat(np.arange(block.size), lens)  # candidate of each pair
+        out = ~self.in_set[j]
+        j, d, at = j[out], d[out], at[out]
+        cost, fallback = self.cost[j], self.fallback[j]
+        g = np.bincount(at, weights=np.maximum(cost - d, 0.0), minlength=block.size)
+        near = d < fallback
+        c = np.bincount(
+            at[near] * self.k + self.owner[j[near]],
+            weights=fallback[near] - np.maximum(d[near], cost[near]),
+            minlength=block.size * self.k,
+        ).reshape(block.size, self.k)
+        gain = g[:, None] - self.loss + c
+        gain += np.maximum(self.member_fallback - self.cols[block], 0.0)
+        hits = gain > SWAP_TOL
+        found = np.flatnonzero(hits.any(axis=1))
+        if found.size == 0:
+            return None
+        first = int(found[0])
+        slots = np.flatnonzero(hits[first])
+        return first, int(slots[np.argmin(self.members[slots])])
+
+    def swap(self, slot, u):
+        """Replace the member in ``slot`` by pool position ``u``.
+
+        Only rows whose m1 or m2 was the leaving member are ranked again from
+        the member columns; every other row just takes the new member's
+        distance into its m1 and m2.
+        """
+        old = self.cols[:, slot].copy()
+        new = cdist(self.X, self.X[u : u + 1], "cityblock")[:, 0]
+        redo = np.flatnonzero((self.owner == slot) | (old <= self.m2))
+        self.cols[:, slot] = new
+        self.in_set[self.members[slot]] = False
+        self.in_set[u] = True
+        self.members[slot] = u
+        beats = new < self.m1
+        self.m2 = np.where(beats, self.m1, np.minimum(self.m2, new))
+        self.owner[beats] = slot
+        np.minimum(self.m1, new, out=self.m1)
+        self._rank(redo)
+        self._derive()
 
 
 # -- baselines ---------------------------------------------------------------

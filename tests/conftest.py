@@ -1,5 +1,5 @@
 """Shared fixtures: the 1-D toy graph, random and integer-grid instances, the
-slow greedy and rebuild references, and benchmark data discovery.
+slow greedy, swap-search and rebuild references, and benchmark data discovery.
 
 ``random_graph`` is the library's ``validation.random_instance``, so the
 unit tests and ``al-regress validate`` draw instances the same way."""
@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from alregress import Dataset, NNBipartiteGraph
+from alregress.strategies import SWAP_TOL
 from alregress.validation import random_instance as random_graph  # noqa: F401
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -94,6 +96,87 @@ def eager_seed_set(graph, k):
         picks[i] = u
         g = g.commit(np.asarray([u]))
     return picks
+
+
+def dense_local_search(graph, seed_pos):
+    """Slow reference for select_ours_batch's search: the pool x pool L1
+    matrix, the whole nearest/second-nearest state rebuilt before every
+    candidate that follows a swap, one dense gain vector per candidate and
+    one q_set per accepted swap. Returns the final sorted pool positions,
+    q_history as a list and the swap count."""
+    XU = graph.features[graph.unlabeled]
+    D = cdist(XU, XU, "cityblock")
+    theta = graph.thetas
+    S = np.sort(np.asarray(seed_pos, dtype=np.int64))
+    in_set = np.zeros(theta.size, dtype=bool)
+    in_set[S] = True
+    swaps = 0
+    q_hist = [graph.q_set(graph.unlabeled[S])]
+    if S.size == theta.size:
+        return S, q_hist, swaps
+    changed = True
+    while changed:
+        changed = False
+        state = None
+        for u in np.where(~in_set)[0]:
+            if in_set[u]:
+                continue  # swapped in earlier this pass
+            if state is None:
+                state = _dense_pool_state(D, theta, S)
+            deltas = _dense_swap_deltas(D, S, int(u), state)
+            hits = np.nonzero(deltas > SWAP_TOL)[0]
+            if hits.size:
+                removed = int(S[int(hits[0])])
+                in_set[removed] = False
+                in_set[u] = True
+                S = np.sort(np.concatenate([S[S != removed], [u]]))
+                swaps += 1
+                changed = True
+                state = None
+                q_hist.append(graph.q_set(graph.unlabeled[S]))
+    return S, q_hist, swaps
+
+
+def _dense_pool_state(D, theta, S):
+    """Nearest/second-nearest bookkeeping for the member set S."""
+    k = S.size
+    cols = D[:, S]
+    m1pos = cols.argmin(axis=1)
+    m1 = cols[np.arange(cols.shape[0]), m1pos]
+    if k >= 2:
+        m2 = np.partition(cols, 1, axis=1)[:, 1]
+    else:
+        m2 = np.full(cols.shape[0], np.inf)
+    cost = np.minimum(theta, m1)
+    fallback = np.minimum(theta, m2)  # cost if the owning member is removed
+    owner = m1 < theta  # rows whose cost actually comes from a member
+    # Member rows see their own zero as m1; m2 is their distance to the rest.
+    member_fallback = np.minimum(theta[S], m2[S])
+    return m1pos, cost, fallback, owner, member_fallback
+
+
+def _dense_swap_deltas(D, S, u, state):
+    """q_set(S - l + u) - q_set(S) for every l in S, as one vector.
+
+    Clients not owned by l gain max(0, cost - d(j,u)) regardless of l;
+    clients owned by l fall back to min(fallback, d(j,u)); u stops being a
+    client; l becomes one.
+    """
+    m1pos, cost, fallback, owner, member_fallback = state
+    k = S.size
+    du = D[:, u]
+    client = np.ones(D.shape[0], dtype=bool)
+    client[S] = False
+    client[u] = False
+    base_gain = np.where(client, np.maximum(cost - du, 0.0), 0.0)
+    total_base = base_gain.sum()
+    owned = client & owner
+    owner_idx = m1pos[owned]
+    base_by_l = np.bincount(owner_idx, weights=base_gain[owned], minlength=k)
+    repl_gain = cost - np.minimum(fallback, du)
+    repl_by_l = np.bincount(owner_idx, weights=repl_gain[owned], minlength=k)
+    new_member_cost = np.minimum(member_fallback, du[S])
+    return total_base - base_by_l + repl_by_l + cost[u] - new_member_cost
 
 
 def demo05_dataset() -> Dataset:

@@ -5,8 +5,6 @@ nearest labeled neighbors, and rebuild-the-graph differencing for the
 reduction scores (conftest). The vectorized module must agree with them exactly.
 """
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,12 +239,3 @@ class TestBound:
         diag = check_bound(before, after, x_u, x_l)
         assert diag.delta_u <= diag.bound + 1e-9
 
-
-class TestDump:
-    def test_toy_edge_listing(self, toy_graph):
-        buf = io.StringIO()
-        toy_graph.dump(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "u,nn,theta"
-        assert lines[1] == "3,0,9.0"
-        assert len(lines) == 5
