@@ -75,8 +75,8 @@ class RegressionSpec:
     def __post_init__(self):
         if self.kind not in REGRESSION_KINDS:
             raise ValueError(f"unknown regression kind {self.kind!r}")
-        if self.alpha is not None and not self.alpha >= 0:
-            raise ValueError("alpha must be >= 0")
+        if self.alpha is not None and not 0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.kind == "polynomial" and self.degree < 1:
             raise ValueError("polynomial degree must be >= 1")
 

@@ -19,9 +19,10 @@ from scipy.spatial.distance import cdist
 # and validation.bound_violations (acceptance criterion 2) both allow it.
 BOUND_TOL = 1e-12
 
-# Candidate columns scored per block in q_values; bounds the distance matrix
-# held in memory to |U| x _BLOCK.
-_BLOCK = 1024
+# Pairwise distances a blocked scan holds at once: q_values scores
+# max(1, _DIST_BUDGET // |U|) candidate columns per block, and the batch
+# search in strategies uses the same budget.
+_DIST_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -168,8 +169,9 @@ class NNBipartiteGraph:
             return out
         XU = self.features[self.unlabeled]
         h = self.total_uncertainty()
-        for start in range(0, m, _BLOCK):
-            stop = min(start + _BLOCK, m)
+        step = max(1, _DIST_BUDGET // m)
+        for start in range(0, m, step):
+            stop = min(start + step, m)
             out[start:stop] = q_columns(XU, self.thetas, h, XU[start:stop])
         return out
 

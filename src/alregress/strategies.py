@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .graph import NNBipartiteGraph, q_columns
+from .graph import _DIST_BUDGET as _PAIR_BLOCK, NNBipartiteGraph, q_columns
 from .regression import fit, predict
 
 # Minimum strict improvement for a batch swap to be accepted.
@@ -24,10 +24,6 @@ SWAP_TOL = 1e-12
 # Swap gains (candidates x members), and near pairs, the batch search
 # holds for one block of candidates; a block has at least one candidate.
 _SWAP_BLOCK = 1 << 16
-
-# Distances held at once while the batch search builds its pair list or
-# ranks member columns.
-_PAIR_BLOCK = 1 << 18
 
 STRATEGY_KINDS = (
     "ours_sequential",

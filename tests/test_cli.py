@@ -89,6 +89,16 @@ class TestRun:
         assert main(run_args(workspace, tmp_path, extra)) == 0
         capsys.readouterr()
 
+    def test_non_finite_alpha_rejected_before_the_run(
+        self, workspace, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        extra = ["--regression", "ridge", "--alpha", "inf"]
+        assert main(run_args(workspace, out, extra)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha must be finite and >= 0")
+        assert not out.exists()
+
 
 class TestValidateCommand:
     def test_passes_and_exits_zero(self, capsys):

@@ -5,12 +5,16 @@ nearest labeled neighbors, and rebuild-the-graph differencing for the
 reduction scores (conftest). The vectorized module must agree with them exactly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alregress import BoundDiagnostic, LinearModel, NNBipartiteGraph, check_bound, fit
+from alregress import graph as graph_module
+from alregress.graph import q_columns
 
 from conftest import grid_graphs, q_by_rebuild, random_graph
 
@@ -125,6 +129,55 @@ class TestScores:
                 continue
             a, b = rng.choice(pool, size=2, replace=False).tolist()
             assert g.q_set([a, b]) >= g.q_set([a]) - 1e-12
+
+
+def clustered_graph(seed, n, d=6, n_labeled=40):
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(scale=5.0, size=(6, d))
+    X = centers[rng.integers(0, 6, size=n)] + 0.5 * rng.normal(size=(n, d))
+    perm = rng.permutation(n)
+    return NNBipartiteGraph.build(perm[:n_labeled], perm[n_labeled:], X)
+
+
+class TestQValuesBudget:
+    """q_values scores max(1, _DIST_BUDGET // |U|) columns per block; the
+    bits must not depend on that width."""
+
+    @staticmethod
+    def one_column_at_a_time(g):
+        XU = g.features[g.unlabeled]
+        h = g.total_uncertainty()
+        return np.concatenate(
+            [q_columns(XU, g.thetas, h, XU[c : c + 1]) for c in range(len(XU))]
+        )
+
+    @pytest.mark.parametrize("columns", [1, 7, None])  # None: the whole pool
+    def test_bits_equal_column_loop(self, monkeypatch, columns):
+        continuous = clustered_graph(3, 437)
+        rng = np.random.default_rng(4)
+        X = rng.integers(0, 4, size=(301, 2)).astype(float)  # duplicates, ties
+        grid = NNBipartiteGraph.build(np.arange(5), np.arange(5, 301), X)
+        for g in (continuous, grid):
+            m = g.unlabeled.size
+            monkeypatch.setattr(graph_module, "_DIST_BUDGET", m * (columns or m))
+            got = g.q_values()
+            assert got.tobytes() == self.one_column_at_a_time(g).tobytes()
+
+    def test_memory_bounded_by_budget(self):
+        """A 2,000-point pool peaks within two budgets of distances (one
+        block, 2.1 MB, plus the pool's rows), not at a pool x pool matrix
+        (32 MB) or the former |U| x 1024 block (16.4 MB)."""
+        g = clustered_graph(7, 2040)
+        pool = g.unlabeled.size
+        budget_bytes = graph_module._DIST_BUDGET * 8
+        tracemalloc.start()
+        try:
+            g.q_values()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * budget_bytes, f"peak {peak} bytes at pool {pool}"
+        assert 2 * budget_bytes < pool * pool * 8 / 5
 
 
 class TestCommit:

@@ -57,6 +57,9 @@ class TestRegressionSpec:
             RegressionSpec(kind="svm")
         with pytest.raises(ValueError):
             RegressionSpec(kind="ridge", alpha=-1.0)
+        for alpha in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+                RegressionSpec(kind="ridge", alpha=alpha)
         with pytest.raises(ValueError):
             RegressionSpec(kind="polynomial", degree=0)
 

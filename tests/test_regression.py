@@ -4,12 +4,18 @@ The ridge reference solves the (D+1)-variable normal equations directly,
 with the penalty on the weights only; fit must agree to high precision.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alregress import LinearModel, fit, fit_diagnostics, predict, rmse
+from alregress import regression
+from alregress.regression import FLOOR_ALPHA
 
 RMSE_3_4 = 3.5355339059327378  # sqrt((3^2 + 4^2) / 2)
 
@@ -102,6 +108,9 @@ class TestFit:
             fit(np.ones((3, 2)), np.ones(3), alpha=-1.0)
         with pytest.raises(ValueError):
             fit(np.array([[np.inf, 1.0]]), np.array([1.0]))
+        for alpha in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+                fit(np.ones((3, 2)), np.ones(3), alpha=alpha)
 
     @given(
         alpha=st.floats(0.0, 50.0),
@@ -114,6 +123,114 @@ class TestFit:
         y = rng.normal(size=20)
         diag = fit_diagnostics(X, y, fit(X, y, alpha=alpha))
         assert diag.normal_equation_residual < 1e-7
+
+
+def lstsq_reference(X, y, alpha):
+    """fit's stacked system solved by a plain scipy.linalg.lstsq call, with
+    BLAS threading as the caller left it."""
+    m, D = X.shape
+    alpha_eff = alpha if alpha > 0 else FLOOR_ALPHA
+    stacked = np.vstack(
+        [
+            np.hstack([X, np.ones((m, 1))]),
+            np.hstack([np.sqrt(alpha_eff) * np.eye(D), np.zeros((D, 1))]),
+        ]
+    )
+    sol = scipy.linalg.lstsq(stacked, np.concatenate([y, np.zeros(D)]))[0]
+    return sol[:D], float(sol[D])
+
+
+def thread_counts():
+    return [get() for get, _ in regression._openblas_thread_controls()]
+
+
+class TestBlasThreadScope:
+    """fit solves on one OpenBLAS thread and leaves the caller's counts."""
+
+    @pytest.fixture
+    def two_threads(self):
+        controls = regression._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded: fit leaves threading alone")
+        saved = thread_counts()
+        for _, set_threads in controls:
+            set_threads(2)
+        yield controls
+        for (_, set_threads), count in zip(controls, saved):
+            set_threads(count)
+
+    def test_counts_restored_after_fit(self, two_threads):
+        rng = np.random.default_rng(4)
+        fit(rng.normal(size=(40, 6)), rng.normal(size=40), alpha=1.0)
+        assert thread_counts() == [2] * len(two_threads)
+
+    def test_counts_restored_when_solve_raises(self, two_threads, monkeypatch):
+        inside = []
+
+        def failing_lstsq(*args, **kwargs):
+            inside.append(thread_counts())
+            raise scipy.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "lstsq", failing_lstsq)
+        with pytest.raises(scipy.linalg.LinAlgError):
+            fit(np.ones((3, 2)), np.ones(3))
+        assert inside == [[1] * len(two_threads)]
+        assert thread_counts() == [2] * len(two_threads)
+
+    def test_counts_restored_after_concurrent_fits(self, two_threads):
+        rng = np.random.default_rng(6)
+        X, y = rng.normal(size=(20, 4)), rng.normal(size=20)
+        errors = []
+
+        def work():
+            try:
+                for _ in range(50):
+                    fit(X, y, alpha=1.0)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        assert thread_counts() == [2] * len(two_threads)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("D", [11, 104])
+    @pytest.mark.parametrize("m", [1, 5, 30, 75, 200])
+    def test_bits_equal_unscoped_lstsq(self, m, D, alpha):
+        rng = np.random.default_rng(1000 * m + D)
+        X = rng.normal(size=(m, D))
+        y = rng.normal(size=m)
+        model = fit(X, y, alpha=alpha)
+        w_ref, b_ref = lstsq_reference(X, y, alpha)
+        assert model.weights.tobytes() == w_ref.tobytes()
+        assert model.bias == b_ref
+
+    def test_no_openblas_found(self, monkeypatch):
+        """Discovery that finds nothing (here: no /proc/self/maps) leaves
+        threading alone and the model unchanged."""
+        rng = np.random.default_rng(5)
+        X, y = rng.normal(size=(30, 11)), rng.normal(size=30)
+        scoped = fit(X, y, alpha=1.0)
+
+        def no_maps(*args, **kwargs):
+            raise OSError("no /proc on this platform")
+
+        monkeypatch.setattr(regression, "_openblas", None)
+        monkeypatch.setattr(regression, "open", no_maps, raising=False)
+        bare = fit(X, y, alpha=1.0)
+        assert regression._openblas == []
+        assert bare.weights.tobytes() == scoped.weights.tobytes()
+        assert bare.bias == scoped.bias
 
 
 class TestPredict:
