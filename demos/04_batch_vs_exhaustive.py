@@ -25,7 +25,7 @@ for trial in range(8):
     graph = NNBipartiteGraph.build(range(3), range(3, n_unl + 3), X)
     k = int(rng.integers(2, 4))
 
-    seed = build_seed_set(graph, k)
+    seed = build_seed_set(graph, k)[0]
     trace = select_ours_batch(graph, k, seed_set=seed)
     best_set, best_q = best_subset_by_q(graph, k)
 

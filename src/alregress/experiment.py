@@ -2,12 +2,13 @@
 
 A trial splits the data, trains on the initial labeled set, then either
 queries round by round (sequential strategies, retraining at the end of each
-round, where the model is read) or takes one up-front batch. The graph rules
-never read labels, so a sequential graph trial takes its whole query order
-from one build_seed_set call. Test RMSE is always measured against noiseless
-ground truth. Trials are pure functions of (dataset, config, trial seed):
-strategy randomness, oracle noise, and the split draw from separate seeded
-streams so noise settings never perturb feature-only strategies.
+round, where the model is read) or takes one up-front batch. The labeled set
+and the pool are sorted index arrays; only the graph rules build a graph, and
+as they never read labels, a sequential graph trial takes its query order and
+scores from one build_seed_set call. Test RMSE is always measured against
+noiseless ground truth. Trials are pure functions of (dataset, config, trial
+seed): strategy randomness, oracle noise, and the split draw from separate
+seeded streams so noise settings never perturb feature-only strategies.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .strategies import (
     select_qbc,
     select_random,
 )
-from .validation import check_graph
 
 REGRESSION_KINDS = ("linear", "ridge", "polynomial")
 
@@ -95,7 +95,6 @@ class ExperimentConfig:
     rounds: int = 10
     oracle: OracleConfig = OracleConfig()
     base_seed: int = 0
-    debug_checks: bool = False
 
     def __post_init__(self):
         if not self.strategies:
@@ -169,20 +168,16 @@ def _seed_for(trial_seed: int, salt: int, strat: StrategyConfig):
     )
 
 
-def _select(strat, graph, features, labels, alpha, rng):
+def _select(strat, labeled, pool, features, labels, alpha, rng):
     kind = strat.kind
     if kind == "greedy":
-        return select_greedy(features, graph.labeled, graph.unlabeled)
+        return select_greedy(features, labeled, pool)
     if kind == "random":
-        return select_random(graph.unlabeled, rng)
+        return select_random(pool, rng)
     if kind == "qbc":
-        return select_qbc(
-            features, labels, graph.labeled, graph.unlabeled, rng, alpha=alpha
-        )
+        return select_qbc(features, labels, labeled, pool, rng, alpha=alpha)
     if kind == "emcm":
-        return select_emcm(
-            features, labels, graph.labeled, graph.unlabeled, rng, alpha=alpha
-        )
+        return select_emcm(features, labels, labeled, pool, rng, alpha=alpha)
     raise ValueError(f"strategy {kind!r} is not a per-query strategy")
 
 
@@ -208,15 +203,15 @@ def _run_prepared_trial(
     Z, y_true = space.features, space.targets
     split = make_split(space.n, trial_seed)
     test = split.test
+    labeled, pool = split.initial_labeled, split.unlabeled_pool  # sorted
     y_work = y_true.copy()
     alpha = config.regression.resolved_alpha()
-    graph = NNBipartiteGraph.build(split.initial_labeled, split.unlabeled_pool, Z)
-    pool0 = graph.unlabeled.size
+    pool0 = pool.size
 
     oracle = LabelOracle(config.oracle, _seed_for(trial_seed, _ORACLE_SALT, strategy))
     rng = np.random.default_rng(_seed_for(trial_seed, _STRATEGY_RNG_SALT, strategy))
 
-    model = fit(Z[graph.labeled], y_work[graph.labeled], alpha)
+    model = fit(Z[labeled], y_work[labeled], alpha)
     rmses = [rmse(predict(model, Z[test]), y_true[test])]
     queried: list[int] = []
     scores: list[float] = []
@@ -228,20 +223,19 @@ def _run_prepared_trial(
             k = round_half_up(TOTAL_FRACTION * pool0)
         if not 1 <= k <= pool0:
             raise ValueError(f"batch size {k} outside 1..{pool0}")
-        trace = select_ours_batch(graph, k, build_seed_set(graph, k))
+        graph = NNBipartiteGraph.build(labeled, pool, Z)
+        trace = select_ours_batch(graph, k, build_seed_set(graph, k)[0])
         chosen = np.sort(np.asarray(trace.chosen, dtype=np.int64))
         for i, u in enumerate(chosen):  # label in ascending index order
-            known = np.union1d(graph.labeled, chosen[:i])
+            known = np.union1d(labeled, chosen[:i])
             y_work[u] = oracle.label(y_true, int(u), y_work[known])
-        graph = graph.commit(chosen)
+        labeled = np.union1d(labeled, chosen)
         queried = chosen.tolist()
         scores = [trace.score] * k
         query_rounds = [1] * k
-        model = fit(Z[graph.labeled], y_work[graph.labeled], alpha)
+        model = fit(Z[labeled], y_work[labeled], alpha)
         flat = rmse(predict(model, Z[test]), y_true[test])
         rmses.extend([flat] * config.rounds)
-        if config.debug_checks:
-            check_graph(graph)
     else:
         per_round = _ceil_count(PER_ROUND_FRACTION * pool0)
         if per_round * config.rounds > pool0:
@@ -249,30 +243,25 @@ def _run_prepared_trial(
                 f"pool of {pool0} cannot supply {per_round} queries for "
                 f"{config.rounds} rounds"
             )
-        order = None
         if strategy.kind == "ours_sequential":
             # Called through this module's name, where tracers patch it.
-            order = build_seed_set(graph, per_round * config.rounds)
+            graph = NNBipartiteGraph.build(labeled, pool, Z)
+            order, drops = build_seed_set(graph, per_round * config.rounds)
         for rnd in range(1, config.rounds + 1):
             for _ in range(per_round):
-                if order is None:
-                    trace = _select(strategy, graph, Z, y_work, alpha, rng)
-                    u, score = int(trace.chosen), trace.score
+                if strategy.kind == "ours_sequential":
+                    u, score = int(order[len(queried)]), float(drops[len(queried)])
                 else:
-                    u = int(order[len(queried)])
-                y_work[u] = oracle.label(y_true, u, y_work[graph.labeled])
-                after = graph.commit(np.asarray([u]))
-                if order is not None:  # q_set of the pick: the drop in H
-                    score = graph.total_uncertainty() - after.total_uncertainty()
-                graph = after
+                    trace = _select(strategy, labeled, pool, Z, y_work, alpha, rng)
+                    u, score = int(trace.chosen), trace.score
+                y_work[u] = oracle.label(y_true, u, y_work[labeled])
+                labeled, pool = np.union1d(labeled, [u]), pool[pool != u]
                 queried.append(u)
                 scores.append(score)
                 query_rounds.append(rnd)
-            model = fit(Z[graph.labeled], y_work[graph.labeled], alpha)
+            model = fit(Z[labeled], y_work[labeled], alpha)
             rmses.append(rmse(predict(model, Z[test]), y_true[test]))
-            if config.debug_checks:
-                check_graph(graph)
-        assert graph.labeled.size + graph.unlabeled.size + test.size == space.n
+        assert labeled.size + pool.size + test.size == space.n
 
     return TrialResult(
         strategy=strategy.kind,

@@ -26,8 +26,10 @@ class OracleConfig:
     def __post_init__(self):
         if self.noise_kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
-        if not self.noise_scale >= 0:
-            raise ValueError("noise_scale must be >= 0")
+        if not 0 <= self.noise_scale < np.inf:
+            raise ValueError(
+                f"noise_scale must be finite and >= 0, got {self.noise_scale}"
+            )
 
 
 class LabelOracle:

@@ -43,6 +43,8 @@ class StrategyConfig:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
+        if self.batch_k is not None and self.kind != "ours_batch":
+            raise ValueError(f"batch_k applies only to ours_batch, not {self.kind!r}")
         if self.batch_k is not None and self.batch_k < 1:
             raise ValueError("batch_k must be positive")
 
@@ -67,8 +69,8 @@ def select_ours_sequential(graph: NNBipartiteGraph) -> SelectionTrace:
     The score is q_single of the pick (see q_values on how the two differ)."""
     if graph.unlabeled.size == 0:
         raise ValueError("cannot select from an empty pool")
-    u = int(build_seed_set(graph, 1)[0])
-    return SelectionTrace(chosen=u, score=graph.q_single(u))
+    picks, drops = build_seed_set(graph, 1)
+    return SelectionTrace(chosen=int(picks[0]), score=float(drops[0]))
 
 
 def lazy_tolerance(pool_size: int, total: float) -> float:
@@ -85,8 +87,8 @@ def lazy_tolerance(pool_size: int, total: float) -> float:
     return 8.0 * pool_size * 2.0**-53 * total
 
 
-def build_seed_set(graph: NNBipartiteGraph, k: int) -> np.ndarray:
-    """k sequential picks with the graph updated after each (labels untouched).
+def build_seed_set(graph: NNBipartiteGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k sequential picks with the graph committed after each (labels untouched).
 
     Each pick is the argmax of q_values on the graph committed so far, ties
     to the smallest index, found by lazy greedy (Minoux 1978): one q_values
@@ -95,6 +97,10 @@ def build_seed_set(graph: NNBipartiteGraph, k: int) -> np.ndarray:
     the best fresh score. Every other point provably scores below that best,
     and a re-score is bitwise the q_values entry, so the picks are those of
     the eager loop that calls q_values before every pick.
+
+    Returns ``(picks, drops)``. Every pick, the last too, is committed on one
+    chain g_0 = graph, g_{i+1} = g_i.commit([picks[i]]), and ``drops[i]`` is
+    H(g_i) - H(g_{i+1}), so ``drops[0]`` is bitwise q_single of ``picks[0]``.
     """
     if not 1 <= k <= graph.unlabeled.size:
         raise ValueError(f"k={k} outside 1..{graph.unlabeled.size}")
@@ -106,10 +112,12 @@ def build_seed_set(graph: NNBipartiteGraph, k: int) -> np.ndarray:
     fresh = np.ones(pool.size, dtype=bool)
     g = graph
     picks = np.empty(k, dtype=np.int64)
+    drops = np.empty(k, dtype=np.float64)
     for i in range(k):
+        h = g.total_uncertainty()
         if i:
             fresh[:] = False
-            rows, h = X[alive], g.total_uncertainty()
+            rows = X[alive]
             best, width = -np.inf, 2
             while True:
                 todo = np.flatnonzero(alive & ~fresh & (bound >= best - eps))
@@ -125,9 +133,9 @@ def build_seed_set(graph: NNBipartiteGraph, k: int) -> np.ndarray:
         pos = int(np.argmax(np.where(alive & fresh, bound, -np.inf)))
         picks[i] = pool[pos]
         alive[pos] = False
-        if i + 1 < k:
-            g = g.commit(picks[i : i + 1])
-    return picks
+        g = g.commit(picks[i : i + 1])
+        drops[i] = h - g.total_uncertainty()
+    return picks, drops
 
 
 def select_ours_batch(
@@ -153,7 +161,7 @@ def select_ours_batch(
     if not 1 <= k <= nU:
         raise ValueError(f"k={k} outside 1..{nU}")
     if seed_set is None:
-        seed_set = build_seed_set(graph, k)
+        seed_set = build_seed_set(graph, k)[0]
     seed_pos = graph._subset_positions(seed_set)
     if seed_pos.size != k:
         raise ValueError(f"seed set must hold {k} distinct indices")

@@ -4,9 +4,9 @@ Each check is the one implementation of a fact the paper's claims rest on:
 commit equals a fresh build, q equals the drop in H, the prediction-shift cap
 holds, and swap local search stays within the locality gap of 5. A check
 raises AssertionError when it fails and returns what it measured, if anything.
-``al-regress validate`` (run_validation), the harness's ``debug_checks`` and
-acceptance criteria 2-5 call them at their own sizes and seeds; validate
-also runs the rebuild check on integer-grid instances with exact ties.
+``al-regress validate`` (run_validation), acceptance criteria 2-5 and the
+tests' trial replay call them at their own sizes and seeds; validate also
+runs the rebuild check on integer-grid instances with exact ties.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def local_search_ratios(graph: NNBipartiteGraph, k: int) -> tuple[float, float]:
     search) of the batch rule against enumeration over k-subsets (optimum).
     Asserts score >= the seed's q and residual <= 5x the optimum's (the
     single-swap locality gap, Arya et al. 2004)."""
-    seed = build_seed_set(graph, k)
+    seed = build_seed_set(graph, k)[0]
     trace = select_ours_batch(graph, k, seed)
     if trace.score < graph.q_set(seed):
         raise AssertionError("local search returned less than its seed set's q")

@@ -1,5 +1,6 @@
 """Shared fixtures: the 1-D toy graph, random and integer-grid instances, the
-slow greedy, swap-search and rebuild references, and benchmark data discovery.
+slow greedy, swap-search and rebuild references, the replay of a harness
+trial on a graph, and benchmark data discovery.
 
 ``random_graph`` is the library's ``validation.random_instance``, so the
 unit tests and ``al-regress validate`` draw instances the same way."""
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from alregress import Dataset, NNBipartiteGraph
+from alregress import Dataset, NNBipartiteGraph, build_model_space, make_split
 from alregress.strategies import SWAP_TOL
+from alregress.validation import check_commit, check_graph
 from alregress.validation import random_instance as random_graph  # noqa: F401
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -177,6 +179,36 @@ def _dense_swap_deltas(D, S, u, state):
     repl_by_l = np.bincount(owner_idx, weights=repl_gain[owned], minlength=k)
     new_member_cost = np.minimum(member_fallback, du[S])
     return total_base - base_by_l + repl_by_l + cost[u] - new_member_cost
+
+
+def replay_trial(config, result):
+    """Replay a harness trial on the graph: rebuild its initial graph from
+    the split and commit ``queried_indices`` one at a time, checking the
+    graph against a fresh build (check_graph) at every round end.
+
+    An ``ours_sequential`` score must equal the replayed H drop of its
+    query bitwise. An ``ours_batch`` set is checked as one commit of the
+    initial graph (check_commit), and its score must equal that graph's
+    q_set of the set. The harness keeps only index sets, so this is where
+    its queries meet the graph's tie rule on a trial's own data."""
+    space = build_model_space(config.dataset, config.regression)
+    split = make_split(space.n, result.seed)
+    g0 = NNBipartiteGraph.build(split.initial_labeled, split.unlabeled_pool,
+                                space.features)
+    if result.strategy == "ours_batch":
+        chosen = np.asarray(result.queried_indices, dtype=np.int64)
+        check_commit(g0, chosen)
+        assert set(result.query_scores) == {g0.q_set(chosen)}
+        return
+    g = g0
+    rounds = result.query_rounds
+    for i, (u, score) in enumerate(zip(result.queried_indices, result.query_scores)):
+        after = g.commit(np.asarray([u]))
+        if result.strategy == "ours_sequential":
+            assert score == g.total_uncertainty() - after.total_uncertainty()
+        g = after
+        if i + 1 == len(rounds) or rounds[i + 1] != rounds[i]:
+            check_graph(g)
 
 
 def demo05_dataset() -> Dataset:

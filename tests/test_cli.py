@@ -99,6 +99,16 @@ class TestRun:
         assert err.startswith("error: alpha must be finite and >= 0")
         assert not out.exists()
 
+    def test_non_finite_noise_scale_rejected_before_the_run(
+        self, workspace, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        extra = ["--noise", "gaussian", "--noise-scale", "inf"]
+        assert main(run_args(workspace, out, extra)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: noise_scale must be finite and >= 0")
+        assert not out.exists()
+
 
 class TestValidateCommand:
     def test_passes_and_exits_zero(self, capsys):

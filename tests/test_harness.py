@@ -5,6 +5,8 @@ sequential protocol queries ceil(0.02 * 83) = 2 points per round and the
 batch takes round-half-up(0.20 * 83) = 17 at once.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from alregress import (
 )
 from alregress import validation
 
-from conftest import synthetic_dataset
+from conftest import replay_trial, synthetic_dataset
 
 
 def small_config(dataset, strategies, **overrides):
@@ -253,6 +255,13 @@ class TestNoiseInteraction:
         ]
 
 
+def replay_all(config, report):
+    """replay_trial on every trial of ``report``."""
+    for results in report.trials.values():
+        for result in results:
+            replay_trial(config, result)
+
+
 @pytest.fixture(scope="module")
 def report():
     config = small_config(
@@ -260,9 +269,10 @@ def report():
         ["ours_sequential", "random", "greedy"],
         trials=3,
         rounds=10,
-        debug_checks=True,
     )
-    return run_experiment(config)
+    rep = run_experiment(config)
+    replay_all(config, rep)
+    return rep
 
 
 @pytest.fixture(scope="module")
@@ -411,7 +421,8 @@ class TestPolynomialRun:
 class TestDebugChecks:
     def test_incremental_graph_matches_rebuild_on_grid_data(self):
         # duplicate rows and exact distance ties, as in tables with discrete
-        # columns; every round's graph is checked against a fresh build
+        # columns; every trial is replayed on the graph, and every round's
+        # graph is checked against a fresh build
         rng = np.random.default_rng(19)
         X = rng.integers(0, 3, size=(120, 3)).astype(np.float64)
         y = X @ rng.normal(size=3) + 0.1 * rng.normal(size=120)
@@ -419,9 +430,42 @@ class TestDebugChecks:
             Dataset(features=X, targets=y, name="grid"),
             ["ours_sequential", "ours_batch", "random", "greedy"],
             trials=3,
-            debug_checks=True,
         )
-        run_experiment(config)
+        replay_all(config, run_experiment(config))
+
+
+class TestGraphUse:
+    def test_one_commit_chain_per_graph_trial(self, monkeypatch):
+        # 2 queries per round over 5 rounds, and a batch of 17: each graph
+        # trial builds one graph and commits each query once; the baselines
+        # never read a graph, so they build none
+        counts = Counter()
+        real_commit = NNBipartiteGraph.commit
+        real_build = NNBipartiteGraph.build.__func__
+
+        def commit(self, subset):
+            counts["commit"] += 1
+            return real_commit(self, subset)
+
+        def build(cls, *args):
+            counts["build"] += 1
+            return real_build(cls, *args)
+
+        monkeypatch.setattr(NNBipartiteGraph, "commit", commit)
+        monkeypatch.setattr(NNBipartiteGraph, "build", classmethod(build))
+        expected = {
+            "ours_sequential": (1, 10),
+            "ours_batch": (1, 17),
+            "random": (0, 0),
+            "greedy": (0, 0),
+            "qbc": (0, 0),
+            "emcm": (0, 0),
+        }
+        for kind, (builds, commits) in expected.items():
+            counts.clear()
+            config = small_config(synthetic_dataset(3), [kind])
+            run_trial(config, config.strategies[0], trial_seed=0)
+            assert (counts["build"], counts["commit"]) == (builds, commits), kind
 
 
 class TestValidationSuite:

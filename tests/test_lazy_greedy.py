@@ -36,7 +36,7 @@ class TestLazyEqualsEager:
     @settings(max_examples=200, deadline=None)
     def test_picks_match_eager_scan(self, g, data):
         k = data.draw(st.integers(1, g.unlabeled.size))
-        np.testing.assert_array_equal(build_seed_set(g, k), eager_seed_set(g, k))
+        np.testing.assert_array_equal(build_seed_set(g, k)[0], eager_seed_set(g, k))
 
     def test_whole_pool_on_random_features(self):
         rng = np.random.default_rng(61)
@@ -46,14 +46,30 @@ class TestLazyEqualsEager:
             perm = rng.permutation(n)
             g = NNBipartiteGraph.build(perm[:2], perm[2:], X)
             k = g.unlabeled.size
-            np.testing.assert_array_equal(build_seed_set(g, k), eager_seed_set(g, k))
+            np.testing.assert_array_equal(build_seed_set(g, k)[0], eager_seed_set(g, k))
 
     @given(g=grid_graphs(), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_prefix_equality(self, g, data):
         k = data.draw(st.integers(1, g.unlabeled.size))
         j = data.draw(st.integers(1, k))
-        np.testing.assert_array_equal(build_seed_set(g, k)[:j], build_seed_set(g, j))
+        np.testing.assert_array_equal(
+            build_seed_set(g, k)[0][:j], build_seed_set(g, j)[0]
+        )
+
+    @given(g=grid_graphs(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_drops_are_the_single_commit_chain(self, g, data):
+        # k = pool is drawn often: its last commit empties the pool
+        pool = g.unlabeled.size
+        k = data.draw(st.one_of(st.just(pool), st.integers(1, pool)))
+        picks, drops = build_seed_set(g, k)
+        for u, drop in zip(picks, drops):
+            after = g.commit(np.asarray([u]))
+            assert drop == g.total_uncertainty() - after.total_uncertainty()
+            g = after
+        if k == pool:
+            assert g.unlabeled.size == 0
 
     @given(g=grid_graphs(), data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -98,7 +114,7 @@ class TestSummationOrder:
         split = make_split(space.n, 0)
         g = NNBipartiteGraph.build(split.initial_labeled, split.unlabeled_pool,
                                    space.features)
-        assert build_seed_set(g, 41)[40] == 167
+        assert build_seed_set(g, 41)[0][40] == 167
 
 
 class TestHarnessOrder:

@@ -22,6 +22,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             OracleConfig(noise_kind="gaussian", noise_scale=-0.1)
 
+    def test_rejects_non_finite_scale(self):
+        for scale in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="noise_scale must be finite and >= 0"):
+                OracleConfig(noise_kind="gaussian", noise_scale=scale)
+
 
 class TestExact:
     def test_returns_truth_and_counts(self):

@@ -39,6 +39,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             StrategyConfig(kind="ours_batch", batch_k=0)
 
+    def test_rejects_batch_size_on_other_kinds(self):
+        for kind in ("ours_sequential", "random", "greedy", "qbc", "emcm"):
+            with pytest.raises(ValueError, match="batch_k applies only to ours_batch"):
+                StrategyConfig(kind=kind, batch_k=5)
+
 
 class TestSequential:
     def test_toy_pick_breaks_tie_to_smallest_index(self, toy_graph):
@@ -72,14 +77,21 @@ class TestSequential:
 class TestSeedSet:
     def test_toy_seed_of_two(self, toy_graph):
         # first pick 3; after committing it, 13's weight drops to 4, still best
-        np.testing.assert_array_equal(build_seed_set(toy_graph, 2), [3, 4])
+        np.testing.assert_array_equal(build_seed_set(toy_graph, 2)[0], [3, 4])
+
+    def test_toy_drops_over_the_whole_pool(self, toy_graph):
+        # 9 takes 13 from 7 down to 4; then 13, 38 and 41 carry only their
+        # own weights, and the drops add up to H = 19
+        picks, drops = build_seed_set(toy_graph, 4)
+        np.testing.assert_array_equal(picks, [3, 4, 5, 6])
+        np.testing.assert_array_equal(drops, [12.0, 4.0, 2.0, 1.0])
 
     def test_first_pick_matches_sequential(self):
         rng = np.random.default_rng(41)
         for _ in range(10):
             g, _ = random_graph(rng)
             k = min(3, g.unlabeled.size)
-            seed = build_seed_set(g, k)
+            seed = build_seed_set(g, k)[0]
             assert seed[0] == select_ours_sequential(g).chosen
             assert len(set(seed.tolist())) == k
 

@@ -45,7 +45,7 @@ class TestEqualsDenseOnGrid:
     @settings(max_examples=200, deadline=None)
     def test_greedy_seed(self, g, data):
         k = draw_k(data, g.unlabeled.size)
-        assert_matches_dense(g, build_seed_set(g, k))
+        assert_matches_dense(g, build_seed_set(g, k)[0])
 
     @given(g=grid_graphs(), data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -70,7 +70,7 @@ class TestEqualsDenseOnContinuous:
             g, _ = random_graph(rng, n_lo=8, n_hi=80)
             pool = g.unlabeled.size
             for k in sorted({1, max(1, pool // 4), max(1, pool - 1), pool}):
-                assert_matches_dense(g, build_seed_set(g, k))
+                assert_matches_dense(g, build_seed_set(g, k)[0])
                 seed = rng.choice(g.unlabeled, size=k, replace=False)
                 assert_matches_dense(g, seed)
 
@@ -108,7 +108,7 @@ def test_batch_holds_no_pool_by_pool_array():
     perm = rng.permutation(2040)
     g = NNBipartiteGraph.build(perm[:40], perm[40:], X)
     pool = g.unlabeled.size
-    seed = build_seed_set(g, 40)
+    seed = build_seed_set(g, 40)[0]
     tracemalloc.start()
     try:
         trace = select_ours_batch(g, 40, seed_set=seed)
