@@ -272,19 +272,26 @@ def apply_standardizer(features: np.ndarray, params: ScalerParams) -> np.ndarray
     return (X - params.means) / params.stds
 
 
-def make_split(n: int, seed: int) -> SplitIndices:
-    """Deterministic test / initial-labeled / pool split of indices 0..n-1.
-
-    |test| = round_half_up(0.30 n); |initial_labeled| = max(1, round_half_up(0.01 n)),
-    drawn from the non-test portion; the rest is the unlabeled pool. Each set is
-    returned sorted ascending.
-    """
+def split_sizes(n: int) -> tuple[int, int, int]:
+    """(|test|, |initial_labeled|, |pool|) of every split of n rows:
+    round_half_up(0.30 n), max(1, round_half_up(0.01 n)) and the rest."""
     if n < 4:
         raise ValueError(f"n={n} is too small to form a nonempty split")
     n_test = round_half_up(0.30 * n)
     n_init = max(1, round_half_up(0.01 * n))
     if n_test + n_init >= n:
         raise ValueError(f"n={n} leaves an empty unlabeled pool")
+    return n_test, n_init, n - n_test - n_init
+
+
+def make_split(n: int, seed: int) -> SplitIndices:
+    """Deterministic test / initial-labeled / pool split of indices 0..n-1.
+
+    The sizes are split_sizes(n); the initial labeled set is drawn from the
+    non-test portion and the rest is the unlabeled pool. Each set is returned
+    sorted ascending.
+    """
+    n_test, n_init, _ = split_sizes(n)
     perm = np.random.default_rng(seed).permutation(n)
     test = np.sort(perm[:n_test])
     initial = np.sort(perm[n_test : n_test + n_init])

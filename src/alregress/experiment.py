@@ -3,12 +3,24 @@
 A trial splits the data, trains on the initial labeled set, then either
 queries round by round (sequential strategies, retraining at the end of each
 round, where the model is read) or takes one up-front batch. The labeled set
-and the pool are sorted index arrays; only the graph rules build a graph, and
-as they never read labels, a sequential graph trial takes its query order and
-scores from one build_seed_set call. Test RMSE is always measured against
-noiseless ground truth. Trials are pure functions of (dataset, config, trial
-seed): strategy randomness, oracle noise, and the split draw from separate
-seeded streams so noise settings never perturb feature-only strategies.
+and the pool are sorted index arrays; only the graph rules build a graph.
+
+An experiment runs trial by trial. Everything a trial seed's strategies share
+is computed once: the split, the pre-query RMSE from one initial fit, and,
+when a graph rule is configured, one initial graph with one build_seed_set
+chain long enough for both graph rules. As the graph rules never read labels,
+ours_sequential walks the chain's first picks and their H drops, and
+ours_batch seeds its swap search with the chain's first k picks, which by the
+lazy-greedy prefix property are bitwise what build_seed_set(graph, k)
+returns. run_trial computes the same start for its one strategy. Every
+strategy's query sizes depend only on the number of rows, so they are checked
+before any trial runs.
+
+Test RMSE is always measured against noiseless ground truth. Trials are pure
+functions of (dataset, config, trial seed): strategy randomness, oracle noise,
+and the split draw from separate seeded streams so noise settings never
+perturb feature-only strategies, and the report lists each strategy's trials
+in seed order whatever order they ran in.
 """
 
 from __future__ import annotations
@@ -21,11 +33,13 @@ import numpy as np
 from .datasets import (
     Dataset,
     DatasetManifest,
+    SplitIndices,
     apply_standardizer,
     fit_standardizer,
     load_dataset,
     make_split,
     round_half_up,
+    split_sizes,
 )
 from .features import expand_matrix
 from .graph import NNBipartiteGraph
@@ -181,50 +195,114 @@ def _select(strat, labeled, pool, features, labels, alpha, rng):
     raise ValueError(f"strategy {kind!r} is not a per-query strategy")
 
 
+@dataclass(frozen=True)
+class _TrialStart:
+    """What every strategy of one trial seed starts from. ``picks`` and
+    ``drops`` are build_seed_set's chain on ``graph``, both None when no
+    graph rule runs."""
+
+    split: SplitIndices
+    rmse0: float  # pre-query test RMSE
+    graph: NNBipartiteGraph | None = None
+    picks: np.ndarray | None = None
+    drops: np.ndarray | None = None
+
+
+def _query_sizes(
+    config: ExperimentConfig, strategies: tuple[StrategyConfig, ...], n: int
+) -> dict[str, int]:
+    """Batch size of ours_batch, queries per round of every other strategy.
+    They depend only on the initial pool size, a function of n, so an
+    impossible size raises here, before any trial runs."""
+    pool0 = split_sizes(n)[2]
+    sizes: dict[str, int] = {}
+    for strat in strategies:
+        if strat.kind == "ours_batch":
+            k = strat.batch_k
+            if k is None:
+                k = round_half_up(TOTAL_FRACTION * pool0)
+            if not 1 <= k <= pool0:
+                raise ValueError(f"batch size {k} outside 1..{pool0}")
+            sizes[strat.kind] = k
+        else:
+            per_round = _ceil_count(PER_ROUND_FRACTION * pool0)
+            if per_round * config.rounds > pool0:
+                raise ValueError(
+                    f"pool of {pool0} cannot supply {per_round} queries for "
+                    f"{config.rounds} rounds"
+                )
+            sizes[strat.kind] = per_round
+    return sizes
+
+
+def _chain_length(config: ExperimentConfig, sizes: dict[str, int]) -> int:
+    """Picks the graph rules read from the shared chain; 0 when none runs."""
+    return max(
+        sizes.get("ours_sequential", 0) * config.rounds, sizes.get("ours_batch", 0)
+    )
+
+
+def _trial_start(
+    space: _ModelSpace, config: ExperimentConfig, trial_seed: int, chain_k: int
+) -> _TrialStart:
+    Z, y_true = space.features, space.targets
+    split = make_split(space.n, trial_seed)
+    labeled, test = split.initial_labeled, split.test
+    model = fit(Z[labeled], y_true[labeled], config.regression.resolved_alpha())
+    rmse0 = rmse(predict(model, Z[test]), y_true[test])
+    if not chain_k:
+        return _TrialStart(split, rmse0)
+    graph = NNBipartiteGraph.build(labeled, split.unlabeled_pool, Z)
+    # Called through this module's name, where tracers patch it.
+    picks, drops = build_seed_set(graph, chain_k)
+    return _TrialStart(split, rmse0, graph, picks, drops)
+
+
 def run_trial(
     config: ExperimentConfig, strategy: StrategyConfig, trial_seed: int
 ) -> TrialResult:
-    """One seeded trial of one strategy. Loads the dataset if needed."""
+    """One seeded trial of one strategy. Loads the dataset if needed.
+
+    The single-strategy reference for run_experiment: same start helper, with
+    a graph chain only as long as this strategy needs."""
     dataset = (
         config.dataset
         if isinstance(config.dataset, Dataset)
         else load_dataset(config.dataset)
     )
     space = build_model_space(dataset, config.regression)
-    return _run_prepared_trial(space, config, strategy, trial_seed)
+    sizes = _query_sizes(config, (strategy,), space.n)
+    start = _trial_start(space, config, trial_seed, _chain_length(config, sizes))
+    return _run_from_start(space, config, strategy, start, sizes[strategy.kind])
 
 
-def _run_prepared_trial(
+def _run_from_start(
     space: _ModelSpace,
     config: ExperimentConfig,
     strategy: StrategyConfig,
-    trial_seed: int,
+    start: _TrialStart,
+    size: int,
 ) -> TrialResult:
+    """One strategy's trial from its seed's start; ``size`` is its batch
+    size (ours_batch) or queries per round (the rest)."""
     Z, y_true = space.features, space.targets
-    split = make_split(space.n, trial_seed)
-    test = split.test
-    labeled, pool = split.initial_labeled, split.unlabeled_pool  # sorted
+    trial_seed = start.split.seed
+    test = start.split.test
+    labeled, pool = start.split.initial_labeled, start.split.unlabeled_pool  # sorted
     y_work = y_true.copy()
     alpha = config.regression.resolved_alpha()
-    pool0 = pool.size
 
     oracle = LabelOracle(config.oracle, _seed_for(trial_seed, _ORACLE_SALT, strategy))
     rng = np.random.default_rng(_seed_for(trial_seed, _STRATEGY_RNG_SALT, strategy))
 
-    model = fit(Z[labeled], y_work[labeled], alpha)
-    rmses = [rmse(predict(model, Z[test]), y_true[test])]
+    rmses = [start.rmse0]
     queried: list[int] = []
     scores: list[float] = []
     query_rounds: list[int] = []
 
     if strategy.kind == "ours_batch":
-        k = strategy.batch_k
-        if k is None:
-            k = round_half_up(TOTAL_FRACTION * pool0)
-        if not 1 <= k <= pool0:
-            raise ValueError(f"batch size {k} outside 1..{pool0}")
-        graph = NNBipartiteGraph.build(labeled, pool, Z)
-        trace = select_ours_batch(graph, k, build_seed_set(graph, k)[0])
+        k = size
+        trace = select_ours_batch(start.graph, k, start.picks[:k])
         chosen = np.sort(np.asarray(trace.chosen, dtype=np.int64))
         for i, u in enumerate(chosen):  # label in ascending index order
             known = np.union1d(labeled, chosen[:i])
@@ -237,20 +315,11 @@ def _run_prepared_trial(
         flat = rmse(predict(model, Z[test]), y_true[test])
         rmses.extend([flat] * config.rounds)
     else:
-        per_round = _ceil_count(PER_ROUND_FRACTION * pool0)
-        if per_round * config.rounds > pool0:
-            raise ValueError(
-                f"pool of {pool0} cannot supply {per_round} queries for "
-                f"{config.rounds} rounds"
-            )
-        if strategy.kind == "ours_sequential":
-            # Called through this module's name, where tracers patch it.
-            graph = NNBipartiteGraph.build(labeled, pool, Z)
-            order, drops = build_seed_set(graph, per_round * config.rounds)
         for rnd in range(1, config.rounds + 1):
-            for _ in range(per_round):
+            for _ in range(size):
                 if strategy.kind == "ours_sequential":
-                    u, score = int(order[len(queried)]), float(drops[len(queried)])
+                    i = len(queried)
+                    u, score = int(start.picks[i]), float(start.drops[i])
                 else:
                     trace = _select(strategy, labeled, pool, Z, y_work, alpha, rng)
                     u, score = int(trace.chosen), trace.score
@@ -285,8 +354,8 @@ def _checkpoint_rounds(config: ExperimentConfig) -> dict[int, int]:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """All trials of all configured strategies, plus aggregate curves and the
     first/second/others ranking of the first-listed strategy at the standard
-    checkpoints. Trial t of every strategy shares seed base_seed + t, so
-    comparisons are paired."""
+    checkpoints. Trial t of every strategy shares seed base_seed + t and one
+    _TrialStart, so comparisons are paired."""
     dataset = (
         config.dataset
         if isinstance(config.dataset, Dataset)
@@ -294,12 +363,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
     space = build_model_space(dataset, config.regression)
 
-    trials: dict[str, list[TrialResult]] = {}
-    for strat in config.strategies:
-        trials[strat.kind] = [
-            _run_prepared_trial(space, config, strat, config.base_seed + t)
-            for t in range(config.trials)
-        ]
+    sizes = _query_sizes(config, config.strategies, space.n)
+    chain_k = _chain_length(config, sizes)
+    trials: dict[str, list[TrialResult]] = {s.kind: [] for s in config.strategies}
+    for t in range(config.trials):
+        start = _trial_start(space, config, config.base_seed + t, chain_k)
+        for strat in config.strategies:
+            trials[strat.kind].append(
+                _run_from_start(space, config, strat, start, sizes[strat.kind])
+            )
 
     mean_rmse: dict[str, np.ndarray] = {}
     std_rmse: dict[str, np.ndarray] = {}

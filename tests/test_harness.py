@@ -19,6 +19,7 @@ from alregress import (
     StrategyConfig,
     build_model_space,
     emit_report,
+    make_split,
     run_experiment,
     run_trial,
     run_validation,
@@ -418,20 +419,96 @@ class TestPolynomialRun:
         assert np.all(np.isfinite(report.mean_rmse["ours_sequential"]))
 
 
+def grid_dataset(seed, n=120, d=3):
+    """Integer-grid features: duplicate rows and exact distance ties, as in
+    tables with discrete columns."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+    y = X @ rng.normal(size=d) + 0.1 * rng.normal(size=n)
+    return Dataset(features=X, targets=y, name="grid")
+
+
 class TestDebugChecks:
     def test_incremental_graph_matches_rebuild_on_grid_data(self):
-        # duplicate rows and exact distance ties, as in tables with discrete
-        # columns; every trial is replayed on the graph, and every round's
-        # graph is checked against a fresh build
-        rng = np.random.default_rng(19)
-        X = rng.integers(0, 3, size=(120, 3)).astype(np.float64)
-        y = X @ rng.normal(size=3) + 0.1 * rng.normal(size=120)
+        # every trial is replayed on the graph, and every round's graph is
+        # checked against a fresh build
         config = small_config(
-            Dataset(features=X, targets=y, name="grid"),
+            grid_dataset(19),
             ["ours_sequential", "ours_batch", "random", "greedy"],
             trials=3,
         )
         replay_all(config, run_experiment(config))
+
+
+def assert_same_trial(got, want):
+    """Field by field, floats compared bitwise."""
+    assert (got.strategy, got.seed) == (want.strategy, want.seed)
+    assert got.rmse_per_round.tobytes() == want.rmse_per_round.tobytes()
+    assert got.queried_indices == want.queried_indices
+    assert np.asarray(got.query_scores).tobytes() == (
+        np.asarray(want.query_scores).tobytes()
+    )
+    assert got.query_rounds == want.query_rounds
+
+
+class TestSharedStart:
+    # 2 queries per round over 5 rounds: the sequential rule reads 10 picks
+    # of its seed's chain; a batch of 17 reads more than that, one of 4 fewer
+    @pytest.mark.parametrize("graph_rules", [
+        ("ours_sequential", "ours_batch"),
+        ("ours_batch", "ours_sequential"),
+    ])
+    @pytest.mark.parametrize("batch_k", [17, 4])
+    @pytest.mark.parametrize("data", ["grid", "continuous"])
+    @pytest.mark.parametrize("noise", ["exact", "gaussian"])
+    def test_experiment_equals_per_strategy_trials(
+        self, graph_rules, batch_k, data, noise
+    ):
+        kinds = (graph_rules[0], "random", graph_rules[1])
+        config = ExperimentConfig(
+            dataset=grid_dataset(23) if data == "grid" else synthetic_dataset(23),
+            strategies=tuple(
+                StrategyConfig(kind=k, batch_k=batch_k if k == "ours_batch" else None)
+                for k in kinds
+            ),
+            trials=2,
+            rounds=5,
+            oracle=OracleConfig(noise_kind=noise, noise_scale=0.1),
+        )
+        report = run_experiment(config)
+        for strat in config.strategies:
+            results = report.trials[strat.kind]
+            assert len(results) == 2
+            for t, got in enumerate(results):
+                assert_same_trial(got, run_trial(config, strat, trial_seed=t))
+
+    def test_impossible_sizes_raise_before_any_fit(self, monkeypatch):
+        # a size depends only on n, so the random trials listed first never
+        # run: neither an oversize batch nor an undersupplied pool costs a fit
+        from alregress import experiment
+
+        calls = []
+        real_fit = experiment.fit
+        monkeypatch.setattr(
+            experiment, "fit", lambda *args: calls.append(1) or real_fit(*args)
+        )
+        oversize = ExperimentConfig(
+            dataset=synthetic_dataset(10, n=40),
+            strategies=(
+                StrategyConfig(kind="random"),
+                StrategyConfig(kind="ours_batch", batch_k=500),
+            ),
+            trials=3,
+            rounds=5,
+        )
+        with pytest.raises(ValueError, match="batch size 500 outside 1..27"):
+            run_experiment(oversize)
+        undersupplied = small_config(
+            synthetic_dataset(6, n=30), ["ours_batch", "random"], trials=3, rounds=25
+        )
+        with pytest.raises(ValueError, match="pool of 20 cannot supply 1 queries"):
+            run_experiment(undersupplied)
+        assert calls == []
 
 
 class TestGraphUse:
@@ -466,6 +543,44 @@ class TestGraphUse:
             config = small_config(synthetic_dataset(3), [kind])
             run_trial(config, config.strategies[0], trial_seed=0)
             assert (counts["build"], counts["commit"]) == (builds, commits), kind
+
+    def test_one_start_per_trial_seed(self, monkeypatch):
+        # both graph rules over 3 trials: each trial seed builds one graph,
+        # walks one build_seed_set chain and makes one initial fit, which
+        # both rules share; the round-end fits stay per strategy
+        from alregress import experiment
+
+        counts = Counter()
+        real_build = NNBipartiteGraph.build.__func__
+        real_seed_set = experiment.build_seed_set
+        real_fit = experiment.fit
+        n_init = make_split(120, 0).initial_labeled.size
+
+        def build(cls, *args):
+            counts["build"] += 1
+            return real_build(cls, *args)
+
+        def seed_set(*args):
+            counts["build_seed_set"] += 1
+            return real_seed_set(*args)
+
+        def fit(X, *args):
+            counts["initial fit" if X.shape[0] == n_init else "round fit"] += 1
+            return real_fit(X, *args)
+
+        monkeypatch.setattr(NNBipartiteGraph, "build", classmethod(build))
+        monkeypatch.setattr(experiment, "build_seed_set", seed_set)
+        monkeypatch.setattr(experiment, "fit", fit)
+        config = small_config(
+            synthetic_dataset(3), ["ours_sequential", "ours_batch"], trials=3
+        )
+        run_experiment(config)
+        assert counts == {
+            "build": 3,
+            "build_seed_set": 3,
+            "initial fit": 3,
+            "round fit": 3 * (5 + 1),
+        }
 
 
 class TestValidationSuite:
