@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .datasets import (
     Dataset,
@@ -49,7 +50,7 @@ from .strategies import (
     StrategyConfig,
     build_seed_set,
     select_emcm,
-    select_greedy,
+    select_greedy,  # noqa: F401 - not called; perfbench patches it here
     select_ours_batch,
     select_ours_sequential,  # noqa: F401 - not called; perfbench patches it here
     select_qbc,
@@ -184,8 +185,6 @@ def _seed_for(trial_seed: int, salt: int, strat: StrategyConfig):
 
 def _select(strat, labeled, pool, features, labels, alpha, rng):
     kind = strat.kind
-    if kind == "greedy":
-        return select_greedy(features, labeled, pool)
     if kind == "random":
         return select_random(pool, rng)
     if kind == "qbc":
@@ -315,16 +314,28 @@ def _run_from_start(
         flat = rmse(predict(model, Z[test]), y_true[test])
         rmses.extend([flat] * config.rounds)
     else:
+        if strategy.kind == "greedy":
+            # select_greedy's min distances, aligned with pool and kept up to
+            # date with one column per query: bitwise the same, since min is
+            # exact and cdist computes each pair on its own.
+            dmin = cdist(Z[pool], Z[labeled], "euclidean").min(axis=1)
         for rnd in range(1, config.rounds + 1):
             for _ in range(size):
                 if strategy.kind == "ours_sequential":
                     i = len(queried)
                     u, score = int(start.picks[i]), float(start.drops[i])
+                elif strategy.kind == "greedy":
+                    pos = int(np.argmax(dmin))  # ties to the smallest index
+                    u, score = int(pool[pos]), float(dmin[pos])
                 else:
                     trace = _select(strategy, labeled, pool, Z, y_work, alpha, rng)
                     u, score = int(trace.chosen), trace.score
                 y_work[u] = oracle.label(y_true, u, y_work[labeled])
-                labeled, pool = np.union1d(labeled, [u]), pool[pool != u]
+                keep = pool != u
+                labeled, pool = np.union1d(labeled, [u]), pool[keep]
+                if strategy.kind == "greedy":
+                    col = cdist(Z[pool], Z[u : u + 1], "euclidean")[:, 0]
+                    dmin = np.minimum(dmin[keep], col)
                 queried.append(u)
                 scores.append(score)
                 query_rounds.append(rnd)

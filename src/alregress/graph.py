@@ -20,8 +20,9 @@ from scipy.spatial.distance import cdist
 BOUND_TOL = 1e-12
 
 # Pairwise distances a blocked scan holds at once: q_values scores
-# max(1, _DIST_BUDGET // |U|) candidate columns per block, and the batch
-# search in strategies uses the same budget.
+# max(1, _DIST_BUDGET // |U|) candidate columns per block, near_pairs takes
+# as many candidate rows, and the graph rules in strategies use the same
+# budget.
 _DIST_BUDGET = 1 << 18
 
 
@@ -73,7 +74,7 @@ class NNBipartiteGraph:
     must not be mutated while the graph is alive.
     """
 
-    __slots__ = ("features", "labeled", "unlabeled", "nn", "thetas")
+    __slots__ = ("features", "labeled", "unlabeled", "nn", "thetas", "_pairs")
 
     def __init__(self, features, labeled, unlabeled, nn, thetas):
         self.features = features
@@ -81,6 +82,7 @@ class NNBipartiteGraph:
         self.unlabeled = unlabeled
         self.nn = nn
         self.thetas = thetas
+        self._pairs = None  # near_pairs, built on first use
 
     @classmethod
     def build(cls, labeled, unlabeled, features) -> "NNBipartiteGraph":
@@ -161,7 +163,8 @@ class NNBipartiteGraph:
         Column blocks of q_columns. Each entry sums its column in row order,
         so it does not depend on the block width; it can differ from
         q_single, a difference of two totals that numpy sums pairwise, in
-        the last bits.
+        the last bits. build_seed_set picks what an argmax of it picks,
+        without calling it; the tests keep it as the reference.
         """
         m = self.unlabeled.size
         out = np.empty(m, dtype=np.float64)
@@ -174,6 +177,43 @@ class NNBipartiteGraph:
             stop = min(start + step, m)
             out[start:stop] = q_columns(XU, self.thetas, h, XU[start:stop])
         return out
+
+    def near_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every pool pair (j, u) with L1(x_j, x_u) < thetas[j], grouped by u.
+
+        Positions index ``unlabeled``. Returns ``ptr, rows, dist``: u's rows,
+        ascending, are ``rows[ptr[u]:ptr[u + 1]]`` and their distances the
+        same slice of ``dist``. Weights only shrink as points are committed,
+        so no other pair can ever lower a row's weight: these pairs carry
+        every term of q and of a swap gain, for this graph and every commit
+        of it. The list holds one entry per pair, 2% of pool x pool at the
+        whitewine stand-in; it holds every pair only when the labeled set
+        lies far from every pool point.
+
+        Built once per graph, from blocks of cdist candidate rows of at most
+        _DIST_BUDGET distances, and kept until the graph goes; a commit
+        starts without it.
+        """
+        if self._pairs is None:
+            X, theta = self.features[self.unlabeled], self.thetas
+            n = theta.size
+            step = max(1, _DIST_BUDGET // max(n, 1))
+            ptr = np.zeros(n + 1, dtype=np.int64)
+            rows, dist = [np.empty(0, dtype=np.int32)], [np.empty(0)]
+            for start in range(0, n, step):
+                # Rows are candidates u: d(u, j) equals d(j, u) bit for bit,
+                # since each |a - b| is symmetric and the terms sum in one
+                # order. So does q_columns' d(j, u).
+                d = cdist(X[start : start + step], X, "cityblock")
+                flat = np.flatnonzero(d < theta)
+                ptr[start + 1 : start + 1 + d.shape[0]] = np.bincount(
+                    flat // n, minlength=d.shape[0]
+                )
+                rows.append((flat % n).astype(np.int32))
+                dist.append(d.ravel()[flat])
+            np.cumsum(ptr, out=ptr)
+            self._pairs = ptr, np.concatenate(rows), np.concatenate(dist)
+        return self._pairs
 
     # -- mutation ----------------------------------------------------------
 

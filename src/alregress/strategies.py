@@ -15,14 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .graph import _DIST_BUDGET as _PAIR_BLOCK, NNBipartiteGraph, q_columns
+from .graph import _DIST_BUDGET, NNBipartiteGraph, q_columns
 from .regression import fit, predict
 
 # Minimum strict improvement for a batch swap to be accepted.
 SWAP_TOL = 1e-12
 
-# Swap gains (candidates x members), and near pairs, the batch search
-# holds for one block of candidates; a block has at least one candidate.
+# Swap gains (candidates x members), and near pairs, that the batch search
+# and lazy greedy's sparse scores hold for one block of candidates; a block
+# has at least one candidate.
 _SWAP_BLOCK = 1 << 16
 
 STRATEGY_KINDS = (
@@ -74,29 +75,89 @@ def select_ours_sequential(graph: NNBipartiteGraph) -> SelectionTrace:
 
 
 def lazy_tolerance(pool_size: int, total: float) -> float:
-    """Slack between a stale q value and any later fresh one of the same point.
+    """Slack that covers both stale scores and the sparse/row-order gap.
 
-    Exactly, a point's q can only fall as points are committed: q_set is a
-    facility-location objective, monotone submodular (Nemhauser, Wolsey &
-    Fisher 1978), also over the float distances and weights actually used.
-    Computed, each q value sums at most ``pool_size`` non-negative terms
-    bounded by the total weight ``total``, so it is off by at most about
-    2 * pool_size * 2**-53 * total; a stale value plus twice that, doubled
-    again for margin, bounds every later fresh value.
+    Let R_i(u) = sum of max(0, theta_i(j) - d(j, u)) over the pool rows j,
+    in exact arithmetic on the float weights and distances of the chain's
+    graph g_i: q of u on g_i. R only falls along the chain, because commit
+    only lowers weights (min is exact) and drops picked rows. build_seed_set
+    reads two float sums of it, each over at most n = ``pool_size``
+    non-negative terms that add up to at most T = ``total``, the initial H;
+    with e = 2**-53, to first order:
+
+    - the sparse score S (one rounded subtraction per term, summed by
+      bincount) is within dS = n * e * T of R;
+    - the exact score E of q_columns (h, summed pairwise, minus a running
+      sum of min(theta, d), each within (n - 1) * e * T, then one rounded
+      subtraction) is within dE = 2 * n * e * T of R.
+
+    So a maximiser v of E on g_i and the fresh point b of the best sparse
+    score satisfy S(v) >= E(v) - dE - dS >= E(b) - dE - dS >= S(b) - 2 *
+    (dE + dS) = best - 6 * n * e * T, and a stale S(v), taken on an earlier
+    graph where R(v) was no lower, satisfies the same. The 8 leaves room for
+    the second-order terms.
     """
     return 8.0 * pool_size * 2.0**-53 * total
+
+
+def _pair_slices(ptr, block):
+    """Indices into a near-pair list of every pair of the candidate
+    positions ``block``, in block order, and the block slot of each."""
+    lo, hi = ptr[block], ptr[block + 1]
+    lens = hi - lo
+    ends = np.cumsum(lens)
+    idx = np.arange(ends[-1]) + np.repeat(lo - ends + lens, lens)
+    return idx, np.repeat(np.arange(block.size), lens)
+
+
+def _pairs_before(ptr, candidates):
+    """Near pairs of candidates[:i] for every i from 0 to candidates.size."""
+    out = np.zeros(candidates.size + 1, dtype=np.int64)
+    np.cumsum(np.diff(ptr)[candidates], out=out[1:])
+    return out
+
+
+def _block_stop(pairs_before, i, width):
+    """End of the candidate block that starts at i: at most ``width``
+    candidates and _SWAP_BLOCK near pairs, and at least one candidate."""
+    fits = np.searchsorted(pairs_before, pairs_before[i] + _SWAP_BLOCK, "right") - 1
+    return max(i + 1, min(i + width, int(fits)))
+
+
+def _sparse_scores(pairs, weights, candidates):
+    """Sum of max(0, weights[j] - d(j, u)) over the near pairs of each
+    candidate position u, in row order, in blocks of at most _SWAP_BLOCK
+    pairs. A row that holds no near pair of u adds nothing, since weights
+    never exceed the weights the pairs were listed under."""
+    ptr, rows, dist = pairs
+    out = np.empty(candidates.size)
+    before = _pairs_before(ptr, candidates)
+    i = 0
+    while i < candidates.size:
+        stop = _block_stop(before, i, candidates.size)
+        idx, at = _pair_slices(ptr, candidates[i:stop])
+        terms = np.maximum(weights[rows[idx]] - dist[idx], 0.0)
+        out[i:stop] = np.bincount(at, weights=terms, minlength=stop - i)
+        i = stop
+    return out
 
 
 def build_seed_set(graph: NNBipartiteGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k sequential picks with the graph committed after each (labels untouched).
 
     Each pick is the argmax of q_values on the graph committed so far, ties
-    to the smallest index, found by lazy greedy (Minoux 1978): one q_values
-    pass gives every point a bound, and a pick re-scores, in columns of
-    q_columns, the points whose stale bound comes within lazy_tolerance of
-    the best fresh score. Every other point provably scores below that best,
-    and a re-score is bitwise the q_values entry, so the picks are those of
-    the eager loop that calls q_values before every pick.
+    to the smallest index, found by lazy greedy (Minoux 1978) over sparse
+    scores: the sum of max(0, theta(j) - d(j, u)) over u's graph.near_pairs,
+    under the chain's current weights (0 for picked rows), the quantity
+    q_single measures. Every point's first sparse score is its bound; a pick
+    re-scores, sparsely, the points whose stale bound comes within
+    lazy_tolerance of the best fresh score, and then re-scores with
+    q_columns, exactly and in row order, every fresh point whose sparse
+    score comes within lazy_tolerance of that best. The exact argmax of
+    those contenders, ties to the smallest index, is the pick: by
+    lazy_tolerance's argument every maximiser of q_values is among them and
+    a q_columns score is bitwise the q_values entry, so the picks are those
+    of the eager loop that calls q_values before every pick.
 
     Returns ``(picks, drops)``. Every pick, the last too, is committed on one
     chain g_0 = graph, g_{i+1} = g_i.commit([picks[i]]), and ``drops[i]`` is
@@ -106,7 +167,9 @@ def build_seed_set(graph: NNBipartiteGraph, k: int) -> tuple[np.ndarray, np.ndar
         raise ValueError(f"k={k} outside 1..{graph.unlabeled.size}")
     pool = graph.unlabeled
     X = graph.features[pool]
-    bound = graph.q_values()  # aligned with pool
+    pairs = graph.near_pairs()
+    weights = graph.thetas.copy()  # g's weights at initial pool positions
+    bound = _sparse_scores(pairs, weights, np.arange(pool.size))
     eps = lazy_tolerance(pool.size, graph.total_uncertainty())
     alive = np.ones(pool.size, dtype=bool)
     fresh = np.ones(pool.size, dtype=bool)
@@ -114,27 +177,35 @@ def build_seed_set(graph: NNBipartiteGraph, k: int) -> tuple[np.ndarray, np.ndar
     picks = np.empty(k, dtype=np.int64)
     drops = np.empty(k, dtype=np.float64)
     for i in range(k):
-        h = g.total_uncertainty()
-        if i:
-            fresh[:] = False
-            rows = X[alive]
-            best, width = -np.inf, 2
-            while True:
-                todo = np.flatnonzero(alive & ~fresh & (bound >= best - eps))
-                if todo.size == 0:
-                    break
-                # Highest bounds first, in widening batches: an early high
-                # fresh score shrinks the set that still needs re-scoring.
-                todo = todo[np.argsort(-bound[todo], kind="stable")[:width]]
-                bound[todo] = q_columns(rows, g.thetas, h, X[todo])
-                fresh[todo] = True
-                best = max(best, float(bound[todo].max()))
-                width *= 2
-        pos = int(np.argmax(np.where(alive & fresh, bound, -np.inf)))
+        best = float(np.max(bound, where=alive & fresh, initial=-np.inf))
+        width = 2
+        while True:
+            todo = np.flatnonzero(alive & ~fresh & (bound >= best - eps))
+            if todo.size == 0:
+                break
+            # Highest bounds first, in widening batches: an early high fresh
+            # score shrinks the set that still needs re-scoring.
+            if todo.size > width:
+                todo = todo[np.argpartition(-bound[todo], width - 1)[:width]]
+            bound[todo] = _sparse_scores(pairs, weights, todo)
+            fresh[todo] = True
+            best = max(best, float(bound[todo].max()))
+            width *= 2
+        contenders = np.flatnonzero(alive & fresh & (bound >= best - eps))
+        rows, h = X[alive], g.total_uncertainty()
+        exact = np.empty(contenders.size)
+        step = max(1, _DIST_BUDGET // rows.shape[0])
+        for start in range(0, contenders.size, step):
+            part = contenders[start : start + step]
+            exact[start : start + step] = q_columns(rows, g.thetas, h, X[part])
+        pos = int(contenders[np.argmax(exact)])
         picks[i] = pool[pos]
         alive[pos] = False
         g = g.commit(picks[i : i + 1])
         drops[i] = h - g.total_uncertainty()
+        weights[pos] = 0.0
+        weights[alive] = g.thetas
+        fresh[:] = False
     return picks, drops
 
 
@@ -177,15 +248,12 @@ def select_ours_batch(
     while changed:
         changed = False
         candidates = np.flatnonzero(~search.in_set)
-        pairs_before = np.zeros(candidates.size + 1, dtype=np.int64)
-        np.cumsum(np.diff(search.ptr)[candidates], out=pairs_before[1:])
+        before = _pairs_before(search.ptr, candidates)
         i, width = 0, 1
         while i < candidates.size:
             # Widening blocks: all of a block is scored against one set, and
             # after a swap the scan restarts, small, just past the swapped-in u.
-            cap = pairs_before[i] + _SWAP_BLOCK
-            fits = np.searchsorted(pairs_before, cap, "right") - 1
-            block = candidates[i : max(i + 1, min(i + width, fits))]
+            block = candidates[i : _block_stop(before, i, width)]
             hit = search.first_gain(block)
             if hit is None:
                 i += block.size
@@ -203,34 +271,6 @@ def select_ours_batch(
         swaps_performed=swaps,
         q_history=tuple(q_hist),
     )
-
-
-def _near_pairs(X, theta):
-    """Every pair (j, u) with L1(x_j, x_u) < theta[j], grouped by u.
-
-    Returns ``ptr, rows, dist``: u's rows, ascending, are
-    ``rows[ptr[u]:ptr[u + 1]]`` and their distances the same slice of
-    ``dist``. Built from blocks of candidate rows of cdist, at most
-    _PAIR_BLOCK distances at a time. Only these pairs can move a swap gain,
-    because a row's cost and fallback never exceed its weight. The list
-    holds one entry per pair, 2% of pool x pool at the whitewine stand-in;
-    it holds every pair only when the labeled set lies far from every pool
-    point.
-    """
-    n = X.shape[0]
-    step = max(1, _PAIR_BLOCK // n)
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    rows, dist = [], []
-    for start in range(0, n, step):
-        # Rows are candidates u: d(u, j) equals d(j, u) bit for bit, since
-        # each term |a - b| is symmetric and the terms sum in one order.
-        d = cdist(X[start : start + step], X, "cityblock")
-        near = d < theta
-        ptr[start + 1 : start + 1 + d.shape[0]] = near.sum(axis=1)
-        rows.append(np.nonzero(near)[1].astype(np.int32))
-        dist.append(d[near])
-    np.cumsum(ptr, out=ptr)
-    return ptr, np.concatenate(rows), np.concatenate(dist)
 
 
 class _SwapSearch:
@@ -252,16 +292,18 @@ class _SwapSearch:
       l with d(j, u) < fallback_j,
     and member_fallback[l] is l's own weight once it leaves. u's own row, at
     distance 0, adds its weight cost_u to G and, when l owns it, takes its
-    term back out of loss[l] through C. G and C read only the near pairs of
-    u (see _near_pairs). A tied row has fallback = cost, so it adds nothing
-    to loss or C whichever slot owns it.
+    term back out of loss[l] through C. G and C read only u's pairs in
+    graph.near_pairs, since cost and fallback never exceed theta; the graph
+    builds that list once, and build_seed_set on the same graph reads it
+    too. A tied row has fallback = cost, so it adds nothing to loss or C
+    whichever slot owns it.
     """
 
     def __init__(self, graph, seed_pos):
         self.X = graph.features[graph.unlabeled]
         self.theta = graph.thetas
         self.h = graph.total_uncertainty()
-        self.ptr, self.rows, self.dist = _near_pairs(self.X, self.theta)
+        self.ptr, self.rows, self.dist = graph.near_pairs()
         n, k = self.theta.size, seed_pos.size
         self.k = k
         self.members = seed_pos.copy()
@@ -276,7 +318,7 @@ class _SwapSearch:
 
     def _rank(self, rows):
         """Recompute m1, m2 and owner of ``rows`` from the member columns."""
-        step = max(1, _PAIR_BLOCK // self.k)
+        step = max(1, _DIST_BUDGET // self.k)
         for start in range(0, rows.size, step):
             r = rows[start : start + step]
             cols = self.cols[r]
@@ -305,12 +347,8 @@ class _SwapSearch:
     def first_gain(self, block):
         """(position in ``block``, slot) of the first candidate with a swap
         gain above SWAP_TOL and, for it, the smallest member index; or None."""
-        lo, hi = self.ptr[block], self.ptr[block + 1]
-        lens = hi - lo
-        ends = np.cumsum(lens)
-        idx = np.arange(ends[-1]) + np.repeat(lo - ends + lens, lens)
+        idx, at = _pair_slices(self.ptr, block)
         j, d = self.rows[idx], self.dist[idx]
-        at = np.repeat(np.arange(block.size), lens)  # candidate of each pair
         out = ~self.in_set[j]
         j, d, at = j[out], d[out], at[out]
         cost, fallback = self.cost[j], self.fallback[j]

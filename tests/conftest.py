@@ -1,6 +1,6 @@
-"""Shared fixtures: the 1-D toy graph, random and integer-grid instances, the
-slow greedy, swap-search and rebuild references, the replay of a harness
-trial on a graph, and benchmark data discovery.
+"""Shared fixtures: the 1-D toy graph, random, clustered and integer-grid
+instances, the slow greedy, swap-search and rebuild references, the replay
+of a harness trial on a graph, and benchmark data discovery.
 
 ``random_graph`` is the library's ``validation.random_instance``, so the
 unit tests and ``al-regress validate`` draw instances the same way."""
@@ -13,7 +13,13 @@ import pytest
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from alregress import Dataset, NNBipartiteGraph, build_model_space, make_split
+from alregress import (
+    Dataset,
+    NNBipartiteGraph,
+    build_model_space,
+    make_split,
+    select_greedy,
+)
 from alregress.strategies import SWAP_TOL
 from alregress.validation import check_commit, check_graph
 from alregress.validation import random_instance as random_graph  # noqa: F401
@@ -86,6 +92,16 @@ def grid_graphs(draw, max_n=30):
     perm = np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
     n_lab = draw(st.integers(1, n - 1))
     return NNBipartiteGraph.build(perm[:n_lab], perm[n_lab:], X)
+
+
+def clustered_graph(seed=7, n=2040, d=6, n_labeled=40):
+    """Six Gaussian clusters and a random labeled set: the stand-ins'
+    regime, where a few percent of pool pairs are near."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(scale=5.0, size=(6, d))
+    X = centers[rng.integers(0, 6, size=n)] + 0.5 * rng.normal(size=(n, d))
+    perm = rng.permutation(n)
+    return NNBipartiteGraph.build(perm[:n_labeled], perm[n_labeled:], X)
 
 
 def eager_seed_set(graph, k):
@@ -187,9 +203,11 @@ def replay_trial(config, result):
     graph against a fresh build (check_graph) at every round end.
 
     An ``ours_sequential`` score must equal the replayed H drop of its
-    query bitwise. An ``ours_batch`` set is checked as one commit of the
-    initial graph (check_commit), and its score must equal that graph's
-    q_set of the set. The harness keeps only index sets, so this is where
+    query bitwise. A ``greedy`` query and its score must equal, bitwise,
+    what the one-shot select_greedy returns on the replayed sets. An
+    ``ours_batch`` set is checked as one commit of the initial graph
+    (check_commit), and its score must equal that graph's q_set of the
+    set. The harness keeps only index sets, so this is where
     its queries meet the graph's tie rule on a trial's own data."""
     space = build_model_space(config.dataset, config.regression)
     split = make_split(space.n, result.seed)
@@ -203,6 +221,9 @@ def replay_trial(config, result):
     g = g0
     rounds = result.query_rounds
     for i, (u, score) in enumerate(zip(result.queried_indices, result.query_scores)):
+        if result.strategy == "greedy":
+            trace = select_greedy(space.features, g.labeled, g.unlabeled)
+            assert (trace.chosen, trace.score) == (u, score)
         after = g.commit(np.asarray([u]))
         if result.strategy == "ours_sequential":
             assert score == g.total_uncertainty() - after.total_uncertainty()

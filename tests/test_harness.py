@@ -439,6 +439,15 @@ class TestDebugChecks:
         )
         replay_all(config, run_experiment(config))
 
+    def test_greedy_walk_replays_select_greedy(self):
+        # 6 queries per round over 10 rounds on a 276-point pool: each pick
+        # and score of the harness's incremental min-distance vector is
+        # bitwise select_greedy's on the same sets
+        config = small_config(synthetic_dataset(29, n=400), ["greedy"], rounds=10)
+        result = run_trial(config, config.strategies[0], trial_seed=1)
+        assert len(result.queried_indices) == 60
+        replay_trial(config, result)
+
 
 def assert_same_trial(got, want):
     """Field by field, floats compared bitwise."""
@@ -581,6 +590,34 @@ class TestGraphUse:
             "initial fit": 3,
             "round fit": 3 * (5 + 1),
         }
+
+
+    def test_one_pair_list_per_trial_seed(self, monkeypatch):
+        # build_seed_set and the swap search read one near-pair list per
+        # initial graph, and nothing on the harness path calls q_values
+        counts = Counter()
+        real_pairs = NNBipartiteGraph.near_pairs
+        real_q_values = NNBipartiteGraph.q_values
+
+        def near_pairs(self):
+            counts["calls"] += 1
+            counts["builds"] += self._pairs is None
+            return real_pairs(self)
+
+        def q_values(self):
+            counts["q_values"] += 1
+            return real_q_values(self)
+
+        monkeypatch.setattr(NNBipartiteGraph, "near_pairs", near_pairs)
+        monkeypatch.setattr(NNBipartiteGraph, "q_values", q_values)
+        for kinds, calls in (
+            (["ours_sequential", "ours_batch"], 2),
+            (["ours_sequential"], 1),
+        ):
+            counts.clear()
+            run_experiment(small_config(synthetic_dataset(3), kinds, trials=3))
+            got = (counts["builds"], counts["calls"], counts["q_values"])
+            assert got == (3, 3 * calls, 0), kinds
 
 
 class TestValidationSuite:

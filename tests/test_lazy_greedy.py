@@ -6,9 +6,15 @@ integer-grid features, where duplicate rows and exact distance ties are
 common. The regression tests pin the summation-order hazard: on demo 05's
 data, candidates 167 and 110 tie exactly at pick 40 under numpy's pairwise
 sum of a single column, but differ by 1.4e-14 in row order.
+
+Lazy greedy orders candidates by sparse scores summed over near pairs, and
+an exact row-order re-score decides: the float-contract test checks the
+sparse scores against q_values within lazy_tolerance, and the memory tests
+check that neither half holds a pool x pool array.
 """
 
 import runpy
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -25,10 +31,18 @@ from alregress import (
     make_split,
     run_trial,
 )
-from alregress.graph import q_columns
-from alregress.strategies import lazy_tolerance
+from alregress import strategies
+from alregress.graph import _DIST_BUDGET, q_columns
+from alregress.strategies import _sparse_scores, lazy_tolerance
 
-from conftest import REPO_ROOT, demo05_dataset, eager_seed_set, grid_graphs
+from conftest import (
+    REPO_ROOT,
+    clustered_graph,
+    demo05_dataset,
+    eager_seed_set,
+    grid_graphs,
+    random_graph,
+)
 
 
 class TestLazyEqualsEager:
@@ -43,6 +57,19 @@ class TestLazyEqualsEager:
         for _ in range(20):
             n = int(rng.integers(10, 60))
             X = rng.normal(size=(n, 3))
+            perm = rng.permutation(n)
+            g = NNBipartiteGraph.build(perm[:2], perm[2:], X)
+            k = g.unlabeled.size
+            np.testing.assert_array_equal(build_seed_set(g, k)[0], eager_seed_set(g, k))
+
+    def test_whole_pool_on_decimal_grid(self):
+        # On a 0.1-step grid, q values that tie in exact arithmetic round
+        # apart, and the sparse and row-order sums round them differently:
+        # only the exact re-score of every near contender keeps the picks.
+        rng = np.random.default_rng(97)
+        for _ in range(30):
+            n, d = int(rng.integers(10, 60)), int(rng.integers(1, 4))
+            X = rng.integers(0, 4, size=(n, d)) * 0.1
             perm = rng.permutation(n)
             g = NNBipartiteGraph.build(perm[:2], perm[2:], X)
             k = g.unlabeled.size
@@ -81,6 +108,70 @@ class TestLazyEqualsEager:
         still = g.unlabeled != u
         eps = lazy_tolerance(g.unlabeled.size, g.total_uncertainty())
         assert np.all(after <= before[still] + eps)
+
+
+class TestFloatContract:
+    def test_sparse_scores_within_tolerance_of_q_values(self):
+        # along a random commit chain, as build_seed_set scores it: the
+        # initial graph's near pairs under the chain's weights, 0 for picks
+        rng = np.random.default_rng(83)
+        worst = 0.0
+        for _ in range(40):
+            g0, _ = random_graph(rng, n_lo=8, n_hi=120)
+            pool = g0.unlabeled
+            eps = lazy_tolerance(pool.size, g0.total_uncertainty())
+            weights = g0.thetas.copy()
+            alive = np.ones(pool.size, dtype=bool)
+            g = g0
+            for pos in rng.permutation(pool.size)[: max(1, pool.size // 3)]:
+                sparse = _sparse_scores(g0.near_pairs(), weights, np.flatnonzero(alive))
+                gap = float(np.max(np.abs(sparse - g.q_values())))
+                assert gap <= eps, (gap, eps)
+                worst = max(worst, gap)
+                alive[pos] = False
+                g = g.commit(pool[pos : pos + 1])
+                weights[pos] = 0.0
+                weights[alive] = g.thetas
+        assert worst > 0.0  # the two sums do differ; the tolerance matters
+
+
+class TestContenders:
+    def test_exact_ties_rescore_within_budget(self, monkeypatch):
+        # 1,200 pool rows on 3 distinct points: every copy of the best point
+        # ties exactly, sparse and exact, so a pick re-scores hundreds of
+        # contenders, more columns than one _DIST_BUDGET block holds
+        rng = np.random.default_rng(89)
+        base = rng.normal(scale=5.0, size=(3, 4))
+        X = np.vstack([base + 0.5, base[rng.integers(0, 3, size=1200)]])
+        g = NNBipartiteGraph.build(np.arange(3), np.arange(3, 1203), X)
+        widths = []
+        real = strategies.q_columns
+
+        def q_columns_spy(rows, thetas, h, candidates):
+            widths.append(candidates.shape[0])
+            assert rows.shape[0] * candidates.shape[0] <= _DIST_BUDGET
+            return real(rows, thetas, h, candidates)
+
+        monkeypatch.setattr(strategies, "q_columns", q_columns_spy)
+        picks = build_seed_set(g, 3)[0]
+        monkeypatch.undo()
+        assert len(widths) > 3 and sum(widths) > 300
+        np.testing.assert_array_equal(picks, eager_seed_set(g, 3))
+
+
+def test_seed_set_holds_no_pool_by_pool_array():
+    """Peak traced allocation of 40 lazy-greedy picks on a 2,000-point
+    clustered pool, near-pair list included, stays under a quarter of one
+    pool x pool float64 matrix."""
+    g = clustered_graph()
+    pool = g.unlabeled.size
+    tracemalloc.start()
+    try:
+        build_seed_set(g, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < pool * pool * 8 / 4, f"peak {peak} bytes at pool {pool}"
 
 
 class TestSummationOrder:

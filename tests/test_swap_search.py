@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from alregress import NNBipartiteGraph, build_seed_set, select_ours_batch
 
-from conftest import dense_local_search, grid_graphs, random_graph
+from conftest import clustered_graph, dense_local_search, grid_graphs, random_graph
 
 
 def assert_matches_dense(g, seed):
@@ -98,19 +98,15 @@ class TestEqualsDenseOnContinuous:
 
 
 def test_batch_holds_no_pool_by_pool_array():
-    """Peak traced allocation of a 2,000-point batch search stays under a
-    quarter of one pool x pool float64 matrix, which the dense search held
-    in full. The seed comes from build_seed_set outside the traced region,
-    as in the harness."""
-    rng = np.random.default_rng(7)
-    centers = rng.normal(scale=5.0, size=(6, 6))
-    X = centers[rng.integers(0, 6, size=2040)] + 0.5 * rng.normal(size=(2040, 6))
-    perm = rng.permutation(2040)
-    g = NNBipartiteGraph.build(perm[:40], perm[40:], X)
+    """Peak traced allocation of a 2,000-point batch, its build_seed_set
+    seed included, stays under a quarter of one pool x pool float64 matrix,
+    which the dense search held in full. The graph builds its near-pair
+    list on the seed's first read, and the search reads the same list."""
+    g = clustered_graph()
     pool = g.unlabeled.size
-    seed = build_seed_set(g, 40)[0]
     tracemalloc.start()
     try:
+        seed = build_seed_set(g, 40)[0]
         trace = select_ours_batch(g, 40, seed_set=seed)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
