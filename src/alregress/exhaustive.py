@@ -4,9 +4,11 @@ These enumerate k-subsets outright, so they are the ground truth the fast
 strategies are checked against: the best uncertainty-reducing subset of an
 exact size, and yes/no answers for whether some subset of at most k moves
 can drive the maximum edge weight below beta (max-threshold) or the total
-below sigma (total-threshold). Every subset is scored by the graph's own
-commit (q_set is its drop in total weight), so the solvers share the one
-facility-location kernel the fast strategies use.
+below sigma (total-threshold). A subset is scored by the weights commit
+would leave the rest of the pool, computed alone: each is min(theta, L1
+distance to the nearest new member), from one pool x pool distance matrix,
+and a total sums them in index order as commit's does. So a solver's q is
+q_set's bits, without building a graph per subset.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .graph import NNBipartiteGraph
 
@@ -50,12 +53,23 @@ def _guard(n_pool: int, k: int) -> None:
         )
 
 
-def _subsets(graph: NNBipartiteGraph, sizes):
-    """Every subset of the pool with a size in ``sizes``, as sorted dataset
-    indices, in lexicographic order of pool positions within each size."""
+def _weights_after(graph: NNBipartiteGraph, sizes):
+    """(subset, weights) for every subset of the pool with a size in
+    ``sizes``, in lexicographic order of pool positions within each size:
+    the subset as sorted dataset indices, and the ``thetas`` that
+    ``graph.commit(subset)`` would have, bitwise. cdist computes each pair on
+    its own, so the matrix holds commit's distances, and a minimum is
+    exact."""
+    n = graph.unlabeled.size
+    XU = graph.features[graph.unlabeled]
+    dist = cdist(XU, XU, "cityblock")
     for size in sizes:
-        for positions in itertools.combinations(range(graph.unlabeled.size), size):
-            yield graph.unlabeled[list(positions)]
+        for positions in itertools.combinations(range(n), size):
+            members = list(positions)
+            rest = np.ones(n, dtype=bool)
+            rest[members] = False
+            weights = np.minimum(graph.thetas, dist[:, members].min(axis=1))
+            yield graph.unlabeled[members], weights[rest]
 
 
 def best_subset_by_q(graph: NNBipartiteGraph, k: int) -> tuple[np.ndarray, float]:
@@ -68,9 +82,10 @@ def best_subset_by_q(graph: NNBipartiteGraph, k: int) -> tuple[np.ndarray, float
     if not 1 <= k <= nU:
         raise ValueError(f"k={k} outside 1..{nU}")
     _guard(nU, k)
+    h = graph.total_uncertainty()
     best_subset, best_q = None, -np.inf
-    for subset in _subsets(graph, [k]):
-        q = graph.q_set(subset)
+    for subset, weights in _weights_after(graph, [k]):
+        q = h - float(np.sum(weights))  # q_set: H - commit(subset)'s total
         if q > best_q:
             best_subset, best_q = subset, q
     assert best_subset is not None
@@ -87,9 +102,7 @@ def min_total_after(graph: NNBipartiteGraph, k: int) -> float:
     if not 1 <= k <= nU:
         raise ValueError(f"k={k} outside 1..{nU}")
     _guard(nU, k)
-    return min(
-        graph.commit(subset).total_uncertainty() for subset in _subsets(graph, [k])
-    )
+    return min(float(np.sum(weights)) for _, weights in _weights_after(graph, [k]))
 
 
 def mmtd_decide(instance: ModificationInstance) -> bool:
@@ -97,8 +110,8 @@ def mmtd_decide(instance: ModificationInstance) -> bool:
     graph = instance.graph
     _guard(graph.unlabeled.size, instance.k)
     return any(
-        graph.commit(subset).total_uncertainty() <= instance.sigma
-        for subset in _subsets(graph, range(1, instance.k + 1))
+        float(np.sum(weights)) <= instance.sigma
+        for _, weights in _weights_after(graph, range(1, instance.k + 1))
     )
 
 
@@ -111,6 +124,6 @@ def mmmd_decide(instance: ModificationInstance) -> bool:
     graph = instance.graph
     _guard(graph.unlabeled.size, instance.k)
     return any(
-        graph.commit(subset).thetas.max(initial=0.0) <= instance.beta
-        for subset in _subsets(graph, range(1, instance.k + 1))
+        weights.max(initial=0.0) <= instance.beta
+        for _, weights in _weights_after(graph, range(1, instance.k + 1))
     )

@@ -5,28 +5,40 @@ queries round by round (sequential strategies, retraining at the end of each
 round, where the model is read) or takes one up-front batch. The labeled set
 and the pool are sorted index arrays; only the graph rules build a graph.
 
-An experiment runs trial by trial. Everything a trial seed's strategies share
-is computed once: the split, the pre-query RMSE from one initial fit, and,
-when a graph rule is configured, one initial graph with one build_seed_set
-chain long enough for both graph rules. As the graph rules never read labels,
-ours_sequential walks the chain's first picks and their H drops, and
-ours_batch seeds its swap search with the chain's first k picks, which by the
-lazy-greedy prefix property are bitwise what build_seed_set(graph, k)
-returns. run_trial computes the same start for its one strategy. Every
-strategy's query sizes depend only on the number of rows, so they are checked
-before any trial runs.
+Everything a trial seed's strategies share is computed once: the split and
+the pre-query RMSE from one initial fit, and, when a graph rule is
+configured, one initial graph with one build_seed_set chain long enough for
+both graph rules. As the graph rules never read labels, ours_sequential walks
+the chain's first picks and their H drops, and ours_batch seeds its swap
+search with the chain's first k picks, which by the lazy-greedy prefix
+property are bitwise what build_seed_set(graph, k) returns. Every strategy's
+query sizes depend only on the number of rows, so they are checked before
+any trial runs.
 
-Test RMSE is always measured against noiseless ground truth. Trials are pure
-functions of (dataset, config, trial seed): strategy randomness, oracle noise,
-and the split draw from separate seeded streams so noise settings never
-perturb feature-only strategies, and the report lists each strategy's trials
-in seed order whatever order they ran in.
+run_experiment splits a run into trial tasks, seed first: per trial seed,
+one task for the graph rules together (they share the graph and the chain)
+and one task for every other strategy. Each seed's split and initial fit are
+computed once, before any task. A task adds the chain its own strategies
+need, then runs each of them: run_trial is the same task for one strategy.
+The tasks run in forked worker processes, one per usable CPU and at most one
+per task, and come back in task order; with one usable CPU, one task, or no
+fork start method they run in that order in this process. Trials are pure
+functions of (dataset, config, trial seed): strategy randomness, oracle
+noise, and the split draw from separate seeded streams so noise settings
+never perturb feature-only strategies, and the report lists each strategy's
+trials in seed order wherever they ran. So a pooled run's report is bitwise
+an inline one's.
+
+Test RMSE is always measured against noiseless ground truth.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -77,6 +89,8 @@ PER_ROUND_FRACTION = 0.02
 TOTAL_FRACTION = 0.20
 
 RANKING_CHECKPOINTS = (5, 10, 15, 20)  # percent of the initial pool queried
+
+_GRAPH_RULES = ("ours_sequential", "ours_batch")
 
 
 @dataclass(frozen=True)
@@ -197,8 +211,8 @@ def _select(strat, labeled, pool, features, labels, alpha, rng):
 @dataclass(frozen=True)
 class _TrialStart:
     """What every strategy of one trial seed starts from. ``picks`` and
-    ``drops`` are build_seed_set's chain on ``graph``, both None when no
-    graph rule runs."""
+    ``drops`` are build_seed_set's chain on ``graph``; all three are None
+    until _with_chain adds them for a graph rule."""
 
     split: SplitIndices
     rmse0: float  # pre-query test RMSE
@@ -235,26 +249,50 @@ def _query_sizes(
 
 
 def _chain_length(config: ExperimentConfig, sizes: dict[str, int]) -> int:
-    """Picks the graph rules read from the shared chain; 0 when none runs."""
+    """Picks the graph rules among ``sizes`` read from the shared chain; 0
+    when none is."""
     return max(
         sizes.get("ours_sequential", 0) * config.rounds, sizes.get("ours_batch", 0)
     )
 
 
 def _trial_start(
-    space: _ModelSpace, config: ExperimentConfig, trial_seed: int, chain_k: int
+    space: _ModelSpace, config: ExperimentConfig, trial_seed: int
 ) -> _TrialStart:
+    """The split and the pre-query RMSE, without a graph."""
     Z, y_true = space.features, space.targets
     split = make_split(space.n, trial_seed)
     labeled, test = split.initial_labeled, split.test
     model = fit(Z[labeled], y_true[labeled], config.regression.resolved_alpha())
-    rmse0 = rmse(predict(model, Z[test]), y_true[test])
+    return _TrialStart(split, rmse(predict(model, Z[test]), y_true[test]))
+
+
+def _with_chain(space: _ModelSpace, start: _TrialStart, chain_k: int) -> _TrialStart:
+    """``start`` plus its initial graph and a chain of ``chain_k`` picks;
+    ``start`` itself when ``chain_k`` is 0."""
     if not chain_k:
-        return _TrialStart(split, rmse0)
-    graph = NNBipartiteGraph.build(labeled, split.unlabeled_pool, Z)
+        return start
+    split = start.split
+    graph = NNBipartiteGraph.build(
+        split.initial_labeled, split.unlabeled_pool, space.features
+    )
     # Called through this module's name, where tracers patch it.
     picks, drops = build_seed_set(graph, chain_k)
-    return _TrialStart(split, rmse0, graph, picks, drops)
+    return replace(start, graph=graph, picks=picks, drops=drops)
+
+
+def _run_task(
+    space: _ModelSpace,
+    config: ExperimentConfig,
+    sizes: dict[str, int],
+    start: _TrialStart,
+    strategies: tuple[StrategyConfig, ...],
+) -> list[TrialResult]:
+    """One trial seed's ``strategies`` from its ``start``, with the chain
+    they need: the unit run_experiment hands to a worker."""
+    own = {s.kind: sizes[s.kind] for s in strategies}
+    start = _with_chain(space, start, _chain_length(config, own))
+    return [_run_from_start(space, config, s, start, sizes[s.kind]) for s in strategies]
 
 
 def run_trial(
@@ -262,8 +300,8 @@ def run_trial(
 ) -> TrialResult:
     """One seeded trial of one strategy. Loads the dataset if needed.
 
-    The single-strategy reference for run_experiment: same start helper, with
-    a graph chain only as long as this strategy needs."""
+    The serial single-strategy reference for run_experiment: the same task,
+    with a graph chain only as long as this strategy needs."""
     dataset = (
         config.dataset
         if isinstance(config.dataset, Dataset)
@@ -271,8 +309,15 @@ def run_trial(
     )
     space = build_model_space(dataset, config.regression)
     sizes = _query_sizes(config, (strategy,), space.n)
-    start = _trial_start(space, config, trial_seed, _chain_length(config, sizes))
-    return _run_from_start(space, config, strategy, start, sizes[strategy.kind])
+    start = _trial_start(space, config, trial_seed)
+    return _run_task(space, config, sizes, start, (strategy,))[0]
+
+
+def _insert_sorted(arr: np.ndarray, u) -> np.ndarray:
+    """Sorted ``arr`` with ``u``, which it lacks, inserted in order: what
+    np.union1d(arr, [u]) returns, without its sort."""
+    pos = np.searchsorted(arr, u)
+    return np.concatenate((arr[:pos], [u], arr[pos:]))
 
 
 def _run_from_start(
@@ -303,10 +348,9 @@ def _run_from_start(
         k = size
         trace = select_ours_batch(start.graph, k, start.picks[:k])
         chosen = np.sort(np.asarray(trace.chosen, dtype=np.int64))
-        for i, u in enumerate(chosen):  # label in ascending index order
-            known = np.union1d(labeled, chosen[:i])
-            y_work[u] = oracle.label(y_true, int(u), y_work[known])
-        labeled = np.union1d(labeled, chosen)
+        for u in chosen:  # label in ascending index order
+            y_work[u] = oracle.label(y_true, int(u), y_work[labeled])
+            labeled = _insert_sorted(labeled, u)
         queried = chosen.tolist()
         scores = [trace.score] * k
         query_rounds = [1] * k
@@ -332,7 +376,7 @@ def _run_from_start(
                     u, score = int(trace.chosen), trace.score
                 y_work[u] = oracle.label(y_true, u, y_work[labeled])
                 keep = pool != u
-                labeled, pool = np.union1d(labeled, [u]), pool[keep]
+                labeled, pool = _insert_sorted(labeled, u), pool[keep]
                 if strategy.kind == "greedy":
                     col = cdist(Z[pool], Z[u : u + 1], "euclidean")[:, 0]
                     dmin = np.minimum(dmin[keep], col)
@@ -362,6 +406,49 @@ def _checkpoint_rounds(config: ExperimentConfig) -> dict[int, int]:
     return out
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# The (space, config, sizes, starts) of the run whose pool forked this
+# worker; set by _adopt, in worker processes only.
+_adopted: tuple | None = None
+
+
+def _adopt(*run) -> None:
+    global _adopted
+    _adopted = run
+
+
+def _pooled_task(task: tuple[int, tuple[StrategyConfig, ...]]) -> list[TrialResult]:
+    space, config, sizes, starts = _adopted
+    t, strategies = task
+    return _run_task(space, config, sizes, starts[t], strategies)
+
+
+def _run_tasks(space, config, sizes, starts, tasks) -> list[list[TrialResult]]:
+    """Every task's results, in task order. Forked workers inherit the run,
+    so only tasks and results are pickled; the pool is shut down and every
+    worker joined before this returns or raises."""
+    workers = min(_usable_cpus(), len(tasks))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_run_task(space, config, sizes, starts[t], s) for t, s in tasks]
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt,
+        initargs=(space, config, sizes, starts),
+    )
+    try:
+        return list(pool.map(_pooled_task, tasks))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """All trials of all configured strategies, plus aggregate curves and the
     first/second/others ranking of the first-listed strategy at the standard
@@ -375,14 +462,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     space = build_model_space(dataset, config.regression)
 
     sizes = _query_sizes(config, config.strategies, space.n)
-    chain_k = _chain_length(config, sizes)
+    graph_rules = tuple(s for s in config.strategies if s.kind in _GRAPH_RULES)
+    groups = [(s,) for s in config.strategies if s.kind not in _GRAPH_RULES]
+    if graph_rules:
+        groups.insert(0, graph_rules)
+    tasks = [(t, group) for t in range(config.trials) for group in groups]
+    starts = [
+        _trial_start(space, config, config.base_seed + t) for t in range(config.trials)
+    ]
     trials: dict[str, list[TrialResult]] = {s.kind: [] for s in config.strategies}
-    for t in range(config.trials):
-        start = _trial_start(space, config, config.base_seed + t, chain_k)
-        for strat in config.strategies:
-            trials[strat.kind].append(
-                _run_from_start(space, config, strat, start, sizes[strat.kind])
-            )
+    for results in _run_tasks(space, config, sizes, starts, tasks):
+        for result in results:
+            trials[result.strategy].append(result)
 
     mean_rmse: dict[str, np.ndarray] = {}
     std_rmse: dict[str, np.ndarray] = {}

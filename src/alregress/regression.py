@@ -125,13 +125,17 @@ def fit(X: np.ndarray, y: np.ndarray, alpha: float = 0.0) -> LinearModel:
 
     m, D = X.shape
     alpha_eff = alpha if alpha > 0 else FLOOR_ALPHA
-    aug = np.hstack([X, np.ones((m, 1))])
-    # Penalty rows sqrt(alpha) * [I_D | 0] realize the ridge term in one lstsq.
-    penalty = np.hstack([np.sqrt(alpha_eff) * np.eye(D), np.zeros((D, 1))])
-    stacked = np.vstack([aug, penalty])
-    rhs = np.concatenate([y, np.zeros(D)])
+    # [X | 1] over penalty rows sqrt(alpha) * [I_D | 0], which realize the
+    # ridge term in one lstsq, written into one array.
+    stacked = np.zeros((m + D, D + 1))
+    stacked[:m, :D] = X
+    stacked[:m, D] = 1.0
+    np.fill_diagonal(stacked[m:], np.sqrt(alpha_eff))
+    rhs = np.zeros(m + D)
+    rhs[:m] = y
     with _one_blas_thread():
-        sol, _, _, _ = scipy.linalg.lstsq(stacked, rhs)
+        # Both inputs were checked finite above.
+        sol, _, _, _ = scipy.linalg.lstsq(stacked, rhs, check_finite=False)
     return LinearModel(weights=sol[:D], bias=float(sol[D]), ridge_alpha=alpha)
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures: the 1-D toy graph, random, clustered and integer-grid
-instances, the slow greedy, swap-search and rebuild references, the replay
-of a harness trial on a graph, and benchmark data discovery.
+instances, the slow greedy, swap-search, rebuild and least-squares
+references, the replay of a harness trial on a graph, and benchmark data
+discovery.
 
 ``random_graph`` is the library's ``validation.random_instance``, so the
 unit tests and ``al-regress validate`` draw instances the same way."""
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -20,6 +22,7 @@ from alregress import (
     make_split,
     select_greedy,
 )
+from alregress.regression import FLOOR_ALPHA
 from alregress.strategies import SWAP_TOL
 from alregress.validation import check_commit, check_graph
 from alregress.validation import random_instance as random_graph  # noqa: F401
@@ -73,6 +76,22 @@ def q_by_rebuild(graph, subset):
     new_unlabeled = [u for u in graph.unlabeled.tolist() if u not in set(subset)]
     after = NNBipartiteGraph.build(new_labeled, new_unlabeled, graph.features)
     return graph.total_uncertainty() - after.total_uncertainty()
+
+
+def lstsq_reference(X, y, alpha):
+    """Reference for fit: its stacked system built with hstack, vstack and
+    eye, solved by a plain scipy.linalg.lstsq call (finiteness checked), with
+    BLAS threading as the caller left it."""
+    m, D = X.shape
+    alpha_eff = alpha if alpha > 0 else FLOOR_ALPHA
+    stacked = np.vstack(
+        [
+            np.hstack([X, np.ones((m, 1))]),
+            np.hstack([np.sqrt(alpha_eff) * np.eye(D), np.zeros((D, 1))]),
+        ]
+    )
+    sol = scipy.linalg.lstsq(stacked, np.concatenate([y, np.zeros(D)]))[0]
+    return sol[:D], float(sol[D])
 
 
 @st.composite

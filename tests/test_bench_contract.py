@@ -43,9 +43,11 @@ def test_every_target_is_patched_and_restored():
         assert owner.__dict__[attr] is raw, f"{owner}.{attr} not restored"
 
 
-def test_traced_run_reads_its_counts(tmp_path):
+def test_traced_run_reads_its_counts(tmp_path, monkeypatch):
     # the per-span counters read library results (swaps_performed, labeled,
-    # the written paths); a tiny run of every strategy exercises each one
+    # the written paths); a tiny run of every strategy exercises each one.
+    # Inline: the tracer counts only in the process it was installed in.
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
     config = ExperimentConfig(
         dataset=synthetic_dataset(3),
         strategies=tuple(

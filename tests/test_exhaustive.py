@@ -160,3 +160,46 @@ class TestMaxThreshold:
             inst_false = ModificationInstance(g, k=k, beta=best - 1e-6)
             assert mmmd_decide(inst_true)
             assert not mmmd_decide(inst_false)
+
+
+@st.composite
+def small_graphs(draw):
+    """Integer grids (exact ties) or standard-normal instances."""
+    if draw(st.booleans()):
+        return draw(grid_graphs(max_n=12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_graph(np.random.default_rng(seed), n_lo=4, n_hi=13)[0]
+
+
+class TestWeightsAlone:
+    """The solvers score subsets from their weights alone; every answer must
+    be bitwise what enumerating commit (q_set and its totals) gives."""
+
+    @given(g=small_graphs(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_solvers_equal_commit_enumeration(self, g, data):
+        n = g.unlabeled.size
+        k = data.draw(st.integers(1, min(3, n)))
+        by_size = {
+            size: [g.unlabeled[list(c)] for c in itertools.combinations(range(n), size)]
+            for size in range(1, k + 1)
+        }
+        exact = by_size[k]
+        qs = [g.q_set(s) for s in exact]
+        first = int(np.argmax(qs))  # the first maximum, as the solver keeps
+        subset, q = best_subset_by_q(g, k)
+        assert subset.tolist() == exact[first].tolist()
+        assert q == qs[first]
+        totals = [g.commit(s).total_uncertainty() for s in exact]
+        assert min_total_after(g, k) == min(totals)
+
+        committed = [g.commit(s) for subsets in by_size.values() for s in subsets]
+        totals = [c.total_uncertainty() for c in committed]
+        maxima = [c.thetas.max(initial=0.0) for c in committed]
+        # thresholds at an achieved value and just below it split on last bits
+        sigma = data.draw(st.sampled_from(totals))
+        beta = data.draw(st.sampled_from(maxima))
+        for s, b in ((sigma, beta), (np.nextafter(sigma, -1), np.nextafter(beta, -1))):
+            inst = ModificationInstance(g, k=k, sigma=s, beta=b)
+            assert mmtd_decide(inst) == any(t <= s for t in totals)
+            assert mmmd_decide(inst) == any(m <= b for m in maxima)

@@ -5,6 +5,8 @@ sequential protocol queries ceil(0.02 * 83) = 2 points per round and the
 batch takes round-half-up(0.20 * 83) = 17 at once.
 """
 
+import multiprocessing
+import os
 from collections import Counter
 
 import numpy as np
@@ -25,7 +27,7 @@ from alregress import (
     run_validation,
     write_trace_log,
 )
-from alregress import validation
+from alregress import experiment, validation
 
 from conftest import replay_trial, synthetic_dataset
 
@@ -129,8 +131,6 @@ class TestSequentialTrial:
     def test_model_fit_once_per_round(self, monkeypatch):
         # The model is read only at round end, so 2 queries per round over
         # 5 rounds cost the initial fit plus 5, not 1 + 10.
-        from alregress import experiment
-
         calls = []
         real_fit = experiment.fit
         monkeypatch.setattr(
@@ -494,8 +494,6 @@ class TestSharedStart:
     def test_impossible_sizes_raise_before_any_fit(self, monkeypatch):
         # a size depends only on n, so the random trials listed first never
         # run: neither an oversize batch nor an undersupplied pool costs a fit
-        from alregress import experiment
-
         calls = []
         real_fit = experiment.fit
         monkeypatch.setattr(
@@ -556,9 +554,9 @@ class TestGraphUse:
     def test_one_start_per_trial_seed(self, monkeypatch):
         # both graph rules over 3 trials: each trial seed builds one graph,
         # walks one build_seed_set chain and makes one initial fit, which
-        # both rules share; the round-end fits stay per strategy
-        from alregress import experiment
-
+        # both rules share; the round-end fits stay per strategy. Inline,
+        # as a wrapper in a forked worker counts inside that worker.
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
         counts = Counter()
         real_build = NNBipartiteGraph.build.__func__
         real_seed_set = experiment.build_seed_set
@@ -595,6 +593,7 @@ class TestGraphUse:
     def test_one_pair_list_per_trial_seed(self, monkeypatch):
         # build_seed_set and the swap search read one near-pair list per
         # initial graph, and nothing on the harness path calls q_values
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
         counts = Counter()
         real_pairs = NNBipartiteGraph.near_pairs
         real_q_values = NNBipartiteGraph.q_values
@@ -618,6 +617,106 @@ class TestGraphUse:
             run_experiment(small_config(synthetic_dataset(3), kinds, trials=3))
             got = (counts["builds"], counts["calls"], counts["q_values"])
             assert got == (3, 3 * calls, 0), kinds
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The processes run_experiment forks, counted in this process."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: count)
+
+
+def all_six_config(**overrides):
+    """Every strategy, 3 trials, a noisy oracle: 15 tasks (the graph rules
+    together, one per baseline), seed by seed."""
+    kwargs = dict(
+        trials=3, oracle=OracleConfig(noise_kind="gaussian", noise_scale=0.1)
+    )
+    kwargs.update(overrides)
+    return small_config(
+        synthetic_dataset(31),
+        ["ours_sequential", "ours_batch", "random", "greedy", "qbc", "emcm"],
+        **kwargs,
+    )
+
+
+def failing_qbc(*args, **kwargs):
+    raise ValueError("committee member 2 did not converge")
+
+
+class TestParallelTrials:
+    def test_pooled_run_equals_inline_run(self, monkeypatch, forks, tmp_path):
+        config = all_six_config()
+        runs = {}
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            forks.clear()
+            rep = run_experiment(config)
+            out = tmp_path / f"cpus{cpus}"
+            emit_report(rep, out)
+            write_trace_log(rep, out / "trace.csv")
+            runs[cpus] = rep, out, len(forks)
+        inline, inline_out, inline_forks = runs[1]
+        pooled, pooled_out, pooled_forks = runs[2]
+        assert (inline_forks, pooled_forks) == (0, 2)
+        for name in ("dataset", "strategies", "rounds", "ranked_strategy",
+                     "ranking_counts", "checkpoint_rounds"):
+            assert getattr(pooled, name) == getattr(inline, name), name
+        for kind in inline.strategies:
+            for field in ("mean_rmse", "std_rmse"):
+                got, want = getattr(pooled, field)[kind], getattr(inline, field)[kind]
+                assert got.tobytes() == want.tobytes(), (field, kind)
+            assert [r.seed for r in pooled.trials[kind]] == [0, 1, 2]
+            for got, want in zip(pooled.trials[kind], inline.trials[kind]):
+                assert_same_trial(got, want)
+        for name in ("curves.csv", "ranking.csv", "trials.csv", "trace.csv"):
+            got, want = pooled_out / name, inline_out / name
+            assert got.read_bytes() == want.read_bytes(), name
+
+    def test_no_child_outlives_a_run(self, monkeypatch, forks):
+        usable_cpus(monkeypatch, 2)
+        run_experiment(all_six_config(trials=2))
+        assert len(forks) == 2
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(experiment, "select_qbc", failing_qbc)
+        with pytest.raises(ValueError):
+            run_experiment(all_six_config(trials=2))
+        assert len(forks) == 4
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_reaches_caller(self, monkeypatch, forks):
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(experiment, "select_qbc", failing_qbc)
+        message = "^committee member 2 did not converge$"
+        with pytest.raises(ValueError, match=message) as err:
+            run_experiment(all_six_config())
+        assert len(forks) == 2
+        # raised in a worker: the pool chains the worker's traceback
+        assert "failing_qbc" in str(err.value.__cause__)
+
+    def test_one_task_starts_no_process(self, monkeypatch, forks):
+        # one trial of the graph rules alone is one task; with one usable
+        # CPU the six-strategy run's 15 tasks also run in this process
+        usable_cpus(monkeypatch, 2)
+        config = small_config(
+            synthetic_dataset(3), ["ours_sequential", "ours_batch"], trials=1
+        )
+        report = run_experiment(config)
+        assert [len(report.trials[k]) for k in report.strategies] == [1, 1]
+        usable_cpus(monkeypatch, 1)
+        run_experiment(all_six_config())
+        assert forks == []
 
 
 class TestValidationSuite:

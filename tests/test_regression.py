@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from alregress import LinearModel, fit, fit_diagnostics, predict, rmse
 from alregress import regression
-from alregress.regression import FLOOR_ALPHA
+
+from conftest import lstsq_reference
 
 RMSE_3_4 = 3.5355339059327378  # sqrt((3^2 + 4^2) / 2)
 
@@ -125,21 +126,6 @@ class TestFit:
         assert diag.normal_equation_residual < 1e-7
 
 
-def lstsq_reference(X, y, alpha):
-    """fit's stacked system solved by a plain scipy.linalg.lstsq call, with
-    BLAS threading as the caller left it."""
-    m, D = X.shape
-    alpha_eff = alpha if alpha > 0 else FLOOR_ALPHA
-    stacked = np.vstack(
-        [
-            np.hstack([X, np.ones((m, 1))]),
-            np.hstack([np.sqrt(alpha_eff) * np.eye(D), np.zeros((D, 1))]),
-        ]
-    )
-    sol = scipy.linalg.lstsq(stacked, np.concatenate([y, np.zeros(D)]))[0]
-    return sol[:D], float(sol[D])
-
-
 def thread_counts():
     return [get() for get, _ in regression._openblas_thread_controls()]
 
@@ -209,6 +195,20 @@ class TestBlasThreadScope:
     def test_bits_equal_unscoped_lstsq(self, m, D, alpha):
         rng = np.random.default_rng(1000 * m + D)
         X = rng.normal(size=(m, D))
+        y = rng.normal(size=m)
+        model = fit(X, y, alpha=alpha)
+        w_ref, b_ref = lstsq_reference(X, y, alpha)
+        assert model.weights.tobytes() == w_ref.tobytes()
+        assert model.bias == b_ref
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("m", [5, 75])
+    def test_bits_equal_with_duplicated_columns(self, m, alpha):
+        # a rank-deficient design: the floor penalty (alpha 0) or the ridge
+        # term is all that makes the solution unique
+        rng = np.random.default_rng(m)
+        base = rng.normal(size=(m, 6))
+        X = base[:, [0, 1, 1, 2, 3, 3, 3, 4, 5, 0]]
         y = rng.normal(size=m)
         model = fit(X, y, alpha=alpha)
         w_ref, b_ref = lstsq_reference(X, y, alpha)
