@@ -49,6 +49,7 @@ from .strategies import (
     SelectionTrace,
     StrategyConfig,
     build_seed_set,
+    greedy_order,
     select_emcm,
     select_greedy,
     select_ours_batch,
@@ -90,6 +91,7 @@ __all__ = [
     "fit",
     "fit_diagnostics",
     "fit_standardizer",
+    "greedy_order",
     "load_dataset",
     "load_manifest",
     "make_split",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +19,23 @@ import numpy as np
 # left unscaled (std replaced by 1) so standardization never divides by ~0.
 DEGENERATE_STD = 1e-12
 
+# Each manifest field's check and what it wants. type(v) is int rejects the
+# bools that JSON true and false load as.
+_TEXT = (lambda v: isinstance(v, str) and v != "", "a non-empty string")
+_COUNT = (
+    lambda v: v is None or (type(v) is int and v > 0),
+    "null or a positive integer",
+)
 _MANIFEST_FIELDS = {
-    "path",
-    "delimiter",
-    "target_column",
-    "skip_header",
-    "expected_rows",
-    "expected_cols",
+    "path": _TEXT,
+    "delimiter": _TEXT,
+    "target_column": (
+        lambda v: type(v) is int or isinstance(v, str),
+        "an integer index or a column name",
+    ),
+    "skip_header": (lambda v: isinstance(v, bool), "true or false"),
+    "expected_rows": _COUNT,
+    "expected_cols": _COUNT,
 }
 
 
@@ -52,6 +62,14 @@ class DatasetManifest:
     skip_header: bool = False
     expected_rows: int | None = None
     expected_cols: int | None = None
+
+    def __post_init__(self):
+        for field, (ok, want) in _MANIFEST_FIELDS.items():
+            value = getattr(self, field)
+            if not ok(value):
+                raise ValueError(
+                    f"dataset {self.name!r}: {field} must be {want}, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -133,18 +151,17 @@ def load_manifest(path: str | Path) -> dict[str, DatasetManifest]:
     for name, entry in raw.items():
         if not isinstance(entry, dict):
             raise ValueError(f"manifest entry {name!r}: must be an object")
-        unknown = set(entry) - _MANIFEST_FIELDS
+        unknown = set(entry) - _MANIFEST_FIELDS.keys()
         if unknown:
             raise ValueError(
                 f"manifest entry {name!r}: unknown fields {sorted(unknown)}"
             )
         if "path" not in entry:
             raise ValueError(f"manifest entry {name!r}: missing required field 'path'")
-        fields = dict(entry)
-        data_path = Path(fields.pop("path"))
-        if not data_path.is_absolute():
-            data_path = path.parent / data_path
-        out[name] = DatasetManifest(name=name, path=str(data_path), **fields)
+        manifest = DatasetManifest(name=name, **entry)
+        if not Path(manifest.path).is_absolute():
+            manifest = replace(manifest, path=str(path.parent / manifest.path))
+        out[name] = manifest
     return out
 
 

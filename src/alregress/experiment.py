@@ -1,33 +1,38 @@
 """Benchmark harness: seeded trials of query strategies on one dataset.
 
-A trial splits the data, trains on the initial labeled set, then either
-queries round by round (sequential strategies, retraining at the end of each
-round, where the model is read) or takes one up-front batch. The labeled set
-and the pool are sorted index arrays; only the graph rules build a graph.
+A trial splits the data, trains on the initial labeled set, then queries
+round by round, retraining at the end of each round that added a label,
+where the model is read. The labeled set and the pool are sorted index
+arrays; only the graph rules build a graph.
+
+The graph rules and greedy never read a label, so a trial's whole query
+order is fixed before the first label: ours_sequential takes the first
+per_round * rounds picks and H drops of a build_seed_set chain, ours_batch
+its swap-search set, seeded with the chain's first k picks, in ascending
+index order as round 1 with no queries after, and greedy its greedy_order.
+Only random, qbc and emcm pick as they go. One round loop labels every
+rule's queries.
 
 Everything a trial seed's strategies share is computed once: the split and
 the pre-query RMSE from one initial fit, and, when a graph rule is
-configured, one initial graph with one build_seed_set chain long enough for
-both graph rules. As the graph rules never read labels, ours_sequential walks
-the chain's first picks and their H drops, and ours_batch seeds its swap
-search with the chain's first k picks, which by the lazy-greedy prefix
-property are bitwise what build_seed_set(graph, k) returns. Every strategy's
-query sizes depend only on the number of rows, so they are checked before
-any trial runs.
+configured, one initial graph with one chain long enough for both graph
+rules; by the lazy-greedy prefix property its first k picks are bitwise
+what build_seed_set(graph, k) returns. Every strategy's query sizes depend
+only on the number of rows, so they are checked before any trial runs.
 
 run_experiment splits a run into trial tasks, seed first: per trial seed,
 one task for the graph rules together (they share the graph and the chain)
 and one task for every other strategy. Each seed's split and initial fit are
-computed once, before any task. A task adds the chain its own strategies
-need, then runs each of them: run_trial is the same task for one strategy.
-The tasks run in forked worker processes, one per usable CPU and at most one
-per task, and come back in task order; with one usable CPU, one task, or no
-fork start method they run in that order in this process. Trials are pure
-functions of (dataset, config, trial seed): strategy randomness, oracle
-noise, and the split draw from separate seeded streams so noise settings
-never perturb feature-only strategies, and the report lists each strategy's
-trials in seed order wherever they ran. So a pooled run's report is bitwise
-an inline one's.
+computed once, before any task. A task builds its label-free rules' orders,
+then runs each of its strategies: run_trial is the same task for one
+strategy. The tasks run in forked worker processes, one per usable CPU and
+at most one per task, and come back in task order; with one usable CPU, one
+task, or no fork start method they run in that order in this process. Trials
+are pure functions of (dataset, config, trial seed): strategy randomness,
+oracle noise, and the split draw from separate seeded streams so noise
+settings never perturb feature-only strategies, and the report lists each
+strategy's trials in seed order wherever they ran. So a pooled run's report
+is bitwise an inline one's.
 
 Test RMSE is always measured against noiseless ground truth.
 """
@@ -38,10 +43,9 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .datasets import (
     Dataset,
@@ -61,6 +65,7 @@ from .regression import fit, predict, rmse
 from .strategies import (
     StrategyConfig,
     build_seed_set,
+    greedy_order,
     select_emcm,
     select_greedy,  # noqa: F401 - not called; perfbench patches it here
     select_ours_batch,
@@ -160,27 +165,23 @@ class ExperimentReport:
     trials: dict[str, list[TrialResult]] = field(repr=False, default_factory=dict)
 
 
-@dataclass(frozen=True)
-class _ModelSpace:
-    """Dataset mapped into the space models and strategies actually see."""
-
-    name: str
-    features: np.ndarray
-    targets: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-
-def build_model_space(dataset: Dataset, regression: RegressionSpec) -> _ModelSpace:
-    """Standardize raw features; for polynomial runs, expand the standardized
-    features and re-standardize the expanded matrix."""
+def build_model_space(dataset: Dataset, regression: RegressionSpec) -> Dataset:
+    """The dataset in the space models and strategies see: raw features
+    standardized; for polynomial runs, the standardized features expanded
+    and the expanded matrix re-standardized."""
     Z = apply_standardizer(dataset.features, fit_standardizer(dataset.features))
     if regression.kind == "polynomial":
         Z = expand_matrix(Z, regression.degree)
         Z = apply_standardizer(Z, fit_standardizer(Z))
-    return _ModelSpace(name=dataset.name, features=Z, targets=dataset.targets)
+    return Dataset(features=Z, targets=dataset.targets, name=dataset.name)
+
+
+def _model_space(config: ExperimentConfig) -> Dataset:
+    """config's dataset, loaded if needed, in its model space."""
+    dataset = config.dataset
+    if not isinstance(dataset, Dataset):
+        dataset = load_dataset(dataset)
+    return build_model_space(dataset, config.regression)
 
 
 def _ceil_count(x: float) -> int:
@@ -197,28 +198,12 @@ def _seed_for(trial_seed: int, salt: int, strat: StrategyConfig):
     )
 
 
-def _select(strat, labeled, pool, features, labels, alpha, rng):
-    kind = strat.kind
-    if kind == "random":
-        return select_random(pool, rng)
-    if kind == "qbc":
-        return select_qbc(features, labels, labeled, pool, rng, alpha=alpha)
-    if kind == "emcm":
-        return select_emcm(features, labels, labeled, pool, rng, alpha=alpha)
-    raise ValueError(f"strategy {kind!r} is not a per-query strategy")
-
-
 @dataclass(frozen=True)
 class _TrialStart:
-    """What every strategy of one trial seed starts from. ``picks`` and
-    ``drops`` are build_seed_set's chain on ``graph``; all three are None
-    until _with_chain adds them for a graph rule."""
+    """What every strategy of one trial seed starts from."""
 
     split: SplitIndices
     rmse0: float  # pre-query test RMSE
-    graph: NNBipartiteGraph | None = None
-    picks: np.ndarray | None = None
-    drops: np.ndarray | None = None
 
 
 def _query_sizes(
@@ -248,18 +233,10 @@ def _query_sizes(
     return sizes
 
 
-def _chain_length(config: ExperimentConfig, sizes: dict[str, int]) -> int:
-    """Picks the graph rules among ``sizes`` read from the shared chain; 0
-    when none is."""
-    return max(
-        sizes.get("ours_sequential", 0) * config.rounds, sizes.get("ours_batch", 0)
-    )
-
-
 def _trial_start(
-    space: _ModelSpace, config: ExperimentConfig, trial_seed: int
+    space: Dataset, config: ExperimentConfig, trial_seed: int
 ) -> _TrialStart:
-    """The split and the pre-query RMSE, without a graph."""
+    """The split and the pre-query RMSE."""
     Z, y_true = space.features, space.targets
     split = make_split(space.n, trial_seed)
     labeled, test = split.initial_labeled, split.test
@@ -267,32 +244,45 @@ def _trial_start(
     return _TrialStart(split, rmse(predict(model, Z[test]), y_true[test]))
 
 
-def _with_chain(space: _ModelSpace, start: _TrialStart, chain_k: int) -> _TrialStart:
-    """``start`` plus its initial graph and a chain of ``chain_k`` picks;
-    ``start`` itself when ``chain_k`` is 0."""
-    if not chain_k:
-        return start
-    split = start.split
-    graph = NNBipartiteGraph.build(
-        split.initial_labeled, split.unlabeled_pool, space.features
-    )
-    # Called through this module's name, where tracers patch it.
-    picks, drops = build_seed_set(graph, chain_k)
-    return replace(start, graph=graph, picks=picks, drops=drops)
+def _orders(
+    space: Dataset, config: ExperimentConfig, split: SplitIndices, sizes: dict
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The whole (queries, scores) order of each label-free rule among
+    ``sizes``, a rule's batch size or per-round count by kind."""
+    labeled, pool, Z = split.initial_labeled, split.unlabeled_pool, space.features
+    seq_n = sizes.get("ours_sequential", 0) * config.rounds
+    k = sizes.get("ours_batch", 0)
+    orders = {}
+    if seq_n or k:
+        graph = NNBipartiteGraph.build(labeled, pool, Z)
+        # Called through this module's names, where tracers patch them.
+        picks, drops = build_seed_set(graph, max(seq_n, k))
+        if seq_n:
+            orders["ours_sequential"] = picks[:seq_n], drops[:seq_n]
+        if k:
+            trace = select_ours_batch(graph, k, picks[:k])
+            orders["ours_batch"] = np.sort(trace.chosen), np.full(k, trace.score)
+    if "greedy" in sizes:
+        n = sizes["greedy"] * config.rounds
+        orders["greedy"] = greedy_order(Z, labeled, pool, n)
+    return orders
 
 
 def _run_task(
-    space: _ModelSpace,
+    space: Dataset,
     config: ExperimentConfig,
     sizes: dict[str, int],
     start: _TrialStart,
     strategies: tuple[StrategyConfig, ...],
 ) -> list[TrialResult]:
-    """One trial seed's ``strategies`` from its ``start``, with the chain
+    """One trial seed's ``strategies`` from its ``start``, with the orders
     they need: the unit run_experiment hands to a worker."""
     own = {s.kind: sizes[s.kind] for s in strategies}
-    start = _with_chain(space, start, _chain_length(config, own))
-    return [_run_from_start(space, config, s, start, sizes[s.kind]) for s in strategies]
+    orders = _orders(space, config, start.split, own)
+    return [
+        _run_from_start(space, config, s, start, sizes[s.kind], orders.get(s.kind))
+        for s in strategies
+    ]
 
 
 def run_trial(
@@ -302,12 +292,7 @@ def run_trial(
 
     The serial single-strategy reference for run_experiment: the same task,
     with a graph chain only as long as this strategy needs."""
-    dataset = (
-        config.dataset
-        if isinstance(config.dataset, Dataset)
-        else load_dataset(config.dataset)
-    )
-    space = build_model_space(dataset, config.regression)
+    space = _model_space(config)
     sizes = _query_sizes(config, (strategy,), space.n)
     start = _trial_start(space, config, trial_seed)
     return _run_task(space, config, sizes, start, (strategy,))[0]
@@ -321,14 +306,18 @@ def _insert_sorted(arr: np.ndarray, u) -> np.ndarray:
 
 
 def _run_from_start(
-    space: _ModelSpace,
+    space: Dataset,
     config: ExperimentConfig,
     strategy: StrategyConfig,
     start: _TrialStart,
     size: int,
+    order: tuple[np.ndarray, np.ndarray] | None,
 ) -> TrialResult:
-    """One strategy's trial from its seed's start; ``size`` is its batch
-    size (ours_batch) or queries per round (the rest)."""
+    """One strategy's trial from its seed's start. A round takes ``size``
+    queries, from ``order`` while it lasts or from the strategy's selector
+    when it is None, and refits only if it added a label: an ours_batch
+    order of ``size`` queries fills round 1, and later rounds carry its
+    RMSE."""
     Z, y_true = space.features, space.targets
     trial_seed = start.split.seed
     test = start.split.test
@@ -344,48 +333,31 @@ def _run_from_start(
     scores: list[float] = []
     query_rounds: list[int] = []
 
-    if strategy.kind == "ours_batch":
-        k = size
-        trace = select_ours_batch(start.graph, k, start.picks[:k])
-        chosen = np.sort(np.asarray(trace.chosen, dtype=np.int64))
-        for u in chosen:  # label in ascending index order
-            y_work[u] = oracle.label(y_true, int(u), y_work[labeled])
-            labeled = _insert_sorted(labeled, u)
-        queried = chosen.tolist()
-        scores = [trace.score] * k
-        query_rounds = [1] * k
-        model = fit(Z[labeled], y_work[labeled], alpha)
-        flat = rmse(predict(model, Z[test]), y_true[test])
-        rmses.extend([flat] * config.rounds)
-    else:
-        if strategy.kind == "greedy":
-            # select_greedy's min distances, aligned with pool and kept up to
-            # date with one column per query: bitwise the same, since min is
-            # exact and cdist computes each pair on its own.
-            dmin = cdist(Z[pool], Z[labeled], "euclidean").min(axis=1)
-        for rnd in range(1, config.rounds + 1):
-            for _ in range(size):
-                if strategy.kind == "ours_sequential":
-                    i = len(queried)
-                    u, score = int(start.picks[i]), float(start.drops[i])
-                elif strategy.kind == "greedy":
-                    pos = int(np.argmax(dmin))  # ties to the smallest index
-                    u, score = int(pool[pos]), float(dmin[pos])
+    for rnd in range(1, config.rounds + 1):
+        for _ in range(size):
+            i = len(queried)
+            if order is None:
+                if strategy.kind == "random":
+                    trace = select_random(pool, rng)
                 else:
-                    trace = _select(strategy, labeled, pool, Z, y_work, alpha, rng)
-                    u, score = int(trace.chosen), trace.score
-                y_work[u] = oracle.label(y_true, u, y_work[labeled])
-                keep = pool != u
-                labeled, pool = _insert_sorted(labeled, u), pool[keep]
-                if strategy.kind == "greedy":
-                    col = cdist(Z[pool], Z[u : u + 1], "euclidean")[:, 0]
-                    dmin = np.minimum(dmin[keep], col)
-                queried.append(u)
-                scores.append(score)
-                query_rounds.append(rnd)
+                    select = select_qbc if strategy.kind == "qbc" else select_emcm
+                    trace = select(Z, y_work, labeled, pool, rng, alpha=alpha)
+                u, score = int(trace.chosen), trace.score
+            elif i < order[0].size:
+                u, score = int(order[0][i]), float(order[1][i])
+            else:
+                break
+            y_work[u] = oracle.label(y_true, u, y_work[labeled])
+            labeled, pool = _insert_sorted(labeled, u), pool[pool != u]
+            queried.append(u)
+            scores.append(score)
+            query_rounds.append(rnd)
+        if query_rounds and query_rounds[-1] == rnd:
             model = fit(Z[labeled], y_work[labeled], alpha)
             rmses.append(rmse(predict(model, Z[test]), y_true[test]))
-        assert labeled.size + pool.size + test.size == space.n
+        else:
+            rmses.append(rmses[-1])
+    assert labeled.size + pool.size + test.size == space.n
 
     return TrialResult(
         strategy=strategy.kind,
@@ -454,13 +426,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     first/second/others ranking of the first-listed strategy at the standard
     checkpoints. Trial t of every strategy shares seed base_seed + t and one
     _TrialStart, so comparisons are paired."""
-    dataset = (
-        config.dataset
-        if isinstance(config.dataset, Dataset)
-        else load_dataset(config.dataset)
-    )
-    space = build_model_space(dataset, config.regression)
-
+    space = _model_space(config)
     sizes = _query_sizes(config, config.strategies, space.n)
     graph_rules = tuple(s for s in config.strategies if s.kind in _GRAPH_RULES)
     groups = [(s,) for s in config.strategies if s.kind not in _GRAPH_RULES]

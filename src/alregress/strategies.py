@@ -402,19 +402,45 @@ def select_random(unlabeled: np.ndarray, rng: np.random.Generator) -> SelectionT
     return SelectionTrace(chosen=int(rng.choice(unlabeled)), score=0.0)
 
 
+def greedy_order(
+    features: np.ndarray, labeled: np.ndarray, unlabeled: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """n greedy picks, each moved to the labeled set before the next.
+
+    A pick is the pool point with the largest minimum Euclidean distance to
+    the labeled set, ties to the first in ``unlabeled`` order; its score is
+    that distance. Returns ``(picks, scores)``. One vector of minimum
+    distances, aligned with the pool, takes one pool x 1 column per pick:
+    bitwise a fresh scan's, since a minimum is exact and cdist computes each
+    pair on its own. So a shorter order is a prefix of a longer one.
+    """
+    labeled = np.asarray(labeled, dtype=np.int64)
+    pool = np.asarray(unlabeled, dtype=np.int64)
+    if not 1 <= n <= pool.size:
+        raise ValueError(f"n={n} outside 1..{pool.size}")
+    if labeled.size == 0:
+        raise ValueError("greedy selection needs a nonempty labeled set")
+    dmin = cdist(features[pool], features[labeled], "euclidean").min(axis=1)
+    picks = np.empty(n, dtype=np.int64)
+    scores = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        pos = int(np.argmax(dmin))
+        picks[i], scores[i] = pool[pos], dmin[pos]
+        if i + 1 < n:
+            keep = pool != picks[i]
+            pool = pool[keep]
+            col = cdist(features[pool], features[picks[i : i + 1]], "euclidean")
+            dmin = np.minimum(dmin[keep], col[:, 0])
+    return picks, scores
+
+
 def select_greedy(
     features: np.ndarray, labeled: np.ndarray, unlabeled: np.ndarray
 ) -> SelectionTrace:
-    """Point with the largest minimum Euclidean distance to the labeled set."""
-    labeled = np.asarray(labeled, dtype=np.int64)
-    unlabeled = np.asarray(unlabeled, dtype=np.int64)
-    if unlabeled.size == 0:
-        raise ValueError("cannot select from an empty pool")
-    if labeled.size == 0:
-        raise ValueError("greedy selection needs a nonempty labeled set")
-    dmin = cdist(features[unlabeled], features[labeled], "euclidean").min(axis=1)
-    pos = int(np.argmax(dmin))
-    return SelectionTrace(chosen=int(unlabeled[pos]), score=float(dmin[pos]))
+    """Point with the largest minimum Euclidean distance to the labeled set:
+    greedy_order's first pick."""
+    picks, scores = greedy_order(features, labeled, unlabeled, 1)
+    return SelectionTrace(chosen=int(picks[0]), score=float(scores[0]))
 
 
 def _bootstrap_predictions(features, labels, labeled, unlabeled, n_members, alpha, rng):

@@ -1,7 +1,7 @@
 """Shared fixtures: the 1-D toy graph, random, clustered and integer-grid
-instances, the slow greedy, swap-search, rebuild and least-squares
-references, the replay of a harness trial on a graph, and benchmark data
-discovery.
+instances, the slow references for lazy greedy, the greedy max-min-distance
+walk, the swap search, rebuilds and least squares, the replay of a harness
+trial on a graph, and benchmark data discovery.
 
 ``random_graph`` is the library's ``validation.random_instance``, so the
 unit tests and ``al-regress validate`` draw instances the same way."""
@@ -135,6 +135,15 @@ def eager_seed_set(graph, k):
     return picks
 
 
+def greedy_scan(features, labeled, unlabeled):
+    """Slow reference for one greedy_order step: a fresh cdist of the whole
+    pool against the whole labeled set, its row minima and np.argmax, ties
+    to the first in ``unlabeled`` order. Returns (pick, score)."""
+    dmin = cdist(features[unlabeled], features[labeled], "euclidean").min(axis=1)
+    pos = int(np.argmax(dmin))
+    return int(unlabeled[pos]), float(dmin[pos])
+
+
 def dense_local_search(graph, seed_pos):
     """Slow reference for select_ours_batch's search: the pool x pool L1
     matrix, the whole nearest/second-nearest state rebuilt before every
@@ -223,7 +232,9 @@ def replay_trial(config, result):
 
     An ``ours_sequential`` score must equal the replayed H drop of its
     query bitwise. A ``greedy`` query and its score must equal, bitwise,
-    what the one-shot select_greedy returns on the replayed sets. An
+    what select_greedy returns on the replayed sets: greedy_order's first
+    pick, one fresh scan of those sets, where the harness walked one
+    greedy_order from the initial sets. An
     ``ours_batch`` set is checked as one commit of the initial graph
     (check_commit), and its score must equal that graph's q_set of the
     set. The harness keeps only index sets, so this is where

@@ -23,6 +23,8 @@ from alregress import (
     round_half_up,
 )
 
+from conftest import REPO_ROOT
+
 SQRT_2_3 = 0.816496580927726  # population std of [1, 2, 3]
 
 
@@ -79,6 +81,42 @@ class TestManifest:
         p.write_text("{nope", encoding="utf-8")
         with pytest.raises(ValueError, match="invalid JSON"):
             load_manifest(p)
+
+    # Each of these once loaded a 3x3 file wrongly or failed without naming
+    # the entry: a bool or a float target took column 1, "no" read as true
+    # and ate a data row, "3" rows never equalled 3, and a numeric path
+    # raised a bare TypeError.
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("target_column", True),
+            ("target_column", 1.7),
+            ("skip_header", "no"),
+            ("expected_rows", "3"),
+            ("path", 5),
+        ],
+    )
+    def test_rejects_mistyped_field(self, tmp_path, field, value):
+        (tmp_path / "toy.csv").write_text("1,2,3\n4,5,6\n7,8,9\n", encoding="utf-8")
+        entry = {"path": "toy.csv", field: value}
+        p = self._write(tmp_path, {"toy": entry})
+        with pytest.raises(ValueError, match=f"dataset 'toy': {field} must be"):
+            load_manifest(p)
+
+    def test_direct_construction_is_checked(self):
+        with pytest.raises(ValueError, match="'t': expected_cols must be"):
+            DatasetManifest(name="t", path="x.csv", expected_cols=0)
+        with pytest.raises(ValueError, match="'t': delimiter must be"):
+            DatasetManifest(name="t", path="x.csv", delimiter="")
+
+    def test_shipped_manifest_builds(self):
+        path = REPO_ROOT / "manifests" / "uci.json"
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        manifests = load_manifest(path)
+        assert list(manifests) == list(raw) and len(raw) == 6
+        for name, entry in raw.items():
+            want = dict(entry, path=str(path.parent / entry["path"]))
+            assert {f: getattr(manifests[name], f) for f in want} == want, name
 
 
 class TestLoading:

@@ -128,20 +128,28 @@ class TestSequentialTrial:
         with pytest.raises(ValueError, match="cannot supply"):
             run_trial(config, config.strategies[0], trial_seed=0)
 
-    def test_model_fit_once_per_round(self, monkeypatch):
-        # The model is read only at round end, so 2 queries per round over
-        # 5 rounds cost the initial fit plus 5, not 1 + 10.
+    @pytest.mark.parametrize("kind,queries,fits", [
+        ("ours_sequential", 10, 1 + 5),
+        ("random", 10, 1 + 5),
+        ("greedy", 10, 1 + 5),
+        ("qbc", 10, 1 + 5),
+        ("emcm", 10, 1 + 5),
+        ("ours_batch", 17, 1 + 1),
+    ])
+    def test_model_fit_once_per_round(self, monkeypatch, kind, queries, fits):
+        # The model is read only at the end of a round that added a label,
+        # so 2 queries per round over 5 rounds cost the initial fit plus 5,
+        # not 1 + 10, and a batch of 17 in round 1 costs 1 + 1. Committee
+        # fits go through strategies.fit and are not counted here.
         calls = []
         real_fit = experiment.fit
         monkeypatch.setattr(
             experiment, "fit", lambda *args: calls.append(1) or real_fit(*args)
         )
-        for kind in ("ours_sequential", "random"):
-            calls.clear()
-            config = small_config(synthetic_dataset(3), [kind])
-            result = run_trial(config, config.strategies[0], trial_seed=0)
-            assert len(result.queried_indices) == 10
-            assert len(calls) == 1 + 5
+        config = small_config(synthetic_dataset(3), [kind])
+        result = run_trial(config, config.strategies[0], trial_seed=0)
+        assert len(result.queried_indices) == queries
+        assert len(calls) == fits
 
     def test_learning_reduces_error(self):
         config = small_config(

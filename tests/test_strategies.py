@@ -7,6 +7,7 @@ swaps, with the set's reduction stepping 3 -> 13 -> 16.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from alregress import (
     NNBipartiteGraph,
@@ -14,6 +15,7 @@ from alregress import (
     best_subset_by_q,
     build_seed_set,
     fit,
+    greedy_order,
     predict,
     select_emcm,
     select_greedy,
@@ -23,7 +25,7 @@ from alregress import (
     select_random,
 )
 
-from conftest import random_graph
+from conftest import greedy_scan, grid_graphs, random_graph
 
 
 class TestConfig:
@@ -198,6 +200,30 @@ class TestGreedy:
             select_greedy(X, np.array([0, 1]), np.array([], dtype=np.int64))
         with pytest.raises(ValueError):
             select_greedy(X, np.array([], dtype=np.int64), np.array([0, 1]))
+
+    @given(g=grid_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_order_is_one_shot_scans_on_tied_data(self, g):
+        # grid rows repeat and their distances tie exactly: every step of
+        # the walk is bitwise a fresh scan of the sets it has reached, and
+        # every shorter order is a prefix of the full one
+        X, L, U = g.features, g.labeled, g.unlabeled
+        picks, scores = greedy_order(X, L, U, U.size)
+        labeled, pool = L, U
+        for i in range(U.size):
+            u, score = greedy_scan(X, labeled, pool)
+            assert picks[i] == u
+            assert scores[i].tobytes() == np.float64(score).tobytes()
+            labeled, pool = np.append(labeled, u), pool[pool != u]
+        for n in range(1, U.size):
+            short_picks, short_scores = greedy_order(X, L, U, n)
+            assert short_picks.tobytes() == picks[:n].tobytes()
+            assert short_scores.tobytes() == scores[:n].tobytes()
+        for n in (0, U.size + 1):
+            with pytest.raises(ValueError, match=f"n={n} outside"):
+                greedy_order(X, L, U, n)
+        with pytest.raises(ValueError, match="nonempty labeled set"):
+            greedy_order(X, np.array([], dtype=np.int64), U, 1)
 
 
 class TestRandom:
