@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -176,43 +177,51 @@ def load_dataset(manifest: DatasetManifest) -> Dataset:
 
     Raises ValueError naming the 1-based line number for non-numeric cells or
     ragged rows, and on expected_rows/expected_cols mismatches.
+
+    Every cell is one Python float, written straight into one float64
+    array.
     """
     path = Path(manifest.path)
     if not path.exists():
         raise FileNotFoundError(f"dataset {manifest.name!r}: no such file {path}")
 
-    header: list[str] | None = None
-    rows: list[list[float]] = []
-    width: int | None = None
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = _split_line(line, manifest.delimiter)
-            if manifest.skip_header and header is None and not rows:
-                header = [p.strip().strip('"') for p in parts]
-                continue
-            try:
-                row = [float(cell) for cell in parts]
-            except ValueError:
-                bad = next(c for c in parts if not _is_float(c))
+        lines = ((no, line.strip()) for no, line in enumerate(fh, start=1))
+        cells = ((no, _split_line(line, manifest.delimiter)) for no, line in lines if line)
+        header: list[str] | None = None
+        if manifest.skip_header:
+            first = next(cells, None)
+            if first is not None:
+                header = [p.strip().strip('"') for p in first[1]]
+        lineno, parts = next(cells, (0, []))
+        width = len(parts)
+
+        def rows():
+            # fromiter asks for the next line only once this one's cells are
+            # used up, so on a failure (lineno, parts) is the bad line.
+            nonlocal lineno, parts
+            yield parts
+            for lineno, parts in cells:
+                if len(parts) != width:
+                    raise ValueError  # named below
+                yield parts
+
+        try:
+            flat = np.fromiter(map(float, chain.from_iterable(rows())), dtype=np.float64)
+        except ValueError:
+            bad = next((c for c in parts if not _is_float(c)), None)
+            if bad is not None:
                 raise ValueError(
                     f"dataset {manifest.name!r}: non-numeric cell {bad!r} "
                     f"at line {lineno} of {path}"
                 ) from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError(
-                    f"dataset {manifest.name!r}: line {lineno} has {len(row)} "
-                    f"columns, expected {width}"
-                )
-            rows.append(row)
-
-    if not rows:
+            raise ValueError(
+                f"dataset {manifest.name!r}: line {lineno} has {len(parts)} "
+                f"columns, expected {width}"
+            ) from None
+    if not width:
         raise ValueError(f"dataset {manifest.name!r}: no data rows in {path}")
-    data = np.asarray(rows, dtype=np.float64)
+    data = flat.reshape(-1, width)
 
     tcol = _resolve_target_column(manifest, header, data.shape[1])
     targets = data[:, tcol]

@@ -21,9 +21,9 @@ from .regression import fit, predict
 # Minimum strict improvement for a batch swap to be accepted.
 SWAP_TOL = 1e-12
 
-# Swap gains (candidates x members), and near pairs, that the batch search
-# and lazy greedy's sparse scores hold for one block of candidates; a block
-# has at least one candidate.
+# Swap gains (candidates x members), member-column rows (rows x members) and
+# near pairs that the batch search and lazy greedy's sparse scores hold for
+# one block; a block has at least one candidate or row.
 _SWAP_BLOCK = 1 << 16
 
 STRATEGY_KINDS = (
@@ -119,7 +119,9 @@ def _pairs_before(ptr, candidates):
 
 def _block_stop(pairs_before, i, width):
     """End of the candidate block that starts at i: at most ``width``
-    candidates and _SWAP_BLOCK near pairs, and at least one candidate."""
+    candidates and _SWAP_BLOCK near pairs, and at least one candidate.
+    ``pairs_before`` is _pairs_before's count, or the near-pair list's ptr
+    for a range of pool positions."""
     fits = np.searchsorted(pairs_before, pairs_before[i] + _SWAP_BLOCK, "right") - 1
     return max(i + 1, min(i + width, int(fits)))
 
@@ -159,21 +161,26 @@ def build_seed_set(graph: NNBipartiteGraph, k: int) -> tuple[np.ndarray, np.ndar
     a q_columns score is bitwise the q_values entry, so the picks are those
     of the eager loop that calls q_values before every pick.
 
-    Returns ``(picks, drops)``. Every pick, the last too, is committed on one
-    chain g_0 = graph, g_{i+1} = g_i.commit([picks[i]]), and ``drops[i]`` is
-    H(g_i) - H(g_{i+1}), so ``drops[0]`` is bitwise q_single of ``picks[0]``.
+    Returns ``(picks, drops)``. Every pick, the last too, is taken along
+    one chain g_0 = graph, g_{i+1} = g_i.commit([picks[i]]), and
+    ``drops[i]`` is H(g_i) - H(g_{i+1}), so ``drops[0]`` is bitwise
+    q_single of ``picks[0]``. No g_i is built: the chain's weights are kept
+    at initial pool positions, each pick lowering them to the minimum with
+    its cdist column, as commit does, and H(g_{i+1}) is np.sum of the
+    remaining ones, the array commit's total sums. So the weights and drops
+    are commit's bits; the tests keep the commit chain as the reference.
     """
     if not 1 <= k <= graph.unlabeled.size:
         raise ValueError(f"k={k} outside 1..{graph.unlabeled.size}")
     pool = graph.unlabeled
     X = graph.features[pool]
     pairs = graph.near_pairs()
-    weights = graph.thetas.copy()  # g's weights at initial pool positions
+    weights = graph.thetas.copy()  # g_i's weights at initial pool positions
+    h = graph.total_uncertainty()
     bound = _sparse_scores(pairs, weights, np.arange(pool.size))
-    eps = lazy_tolerance(pool.size, graph.total_uncertainty())
+    eps = lazy_tolerance(pool.size, h)
     alive = np.ones(pool.size, dtype=bool)
     fresh = np.ones(pool.size, dtype=bool)
-    g = graph
     picks = np.empty(k, dtype=np.int64)
     drops = np.empty(k, dtype=np.float64)
     for i in range(k):
@@ -192,19 +199,21 @@ def build_seed_set(graph: NNBipartiteGraph, k: int) -> tuple[np.ndarray, np.ndar
             best = max(best, float(bound[todo].max()))
             width *= 2
         contenders = np.flatnonzero(alive & fresh & (bound >= best - eps))
-        rows, h = X[alive], g.total_uncertainty()
+        rows, theta = X[alive], weights[alive]
         exact = np.empty(contenders.size)
         step = max(1, _DIST_BUDGET // rows.shape[0])
         for start in range(0, contenders.size, step):
             part = contenders[start : start + step]
-            exact[start : start + step] = q_columns(rows, g.thetas, h, X[part])
+            exact[start : start + step] = q_columns(rows, theta, h, X[part])
         pos = int(contenders[np.argmax(exact)])
         picks[i] = pool[pos]
         alive[pos] = False
-        g = g.commit(picks[i : i + 1])
-        drops[i] = h - g.total_uncertainty()
-        weights[pos] = 0.0
-        weights[alive] = g.thetas
+        # commit's weights: min(weight, distance to the pick), 0 at the pick
+        # itself, and a picked row's 0 stays 0
+        np.minimum(weights, cdist(X, X[pos : pos + 1], "cityblock")[:, 0], out=weights)
+        after = float(np.sum(weights[alive]))  # commit's total_uncertainty
+        drops[i] = h - after
+        h = after
         fresh[:] = False
     return picks, drops
 
@@ -221,7 +230,11 @@ def select_ours_batch(
     smallest member l whose swap raises q_set by more than SWAP_TOL, and the
     scan goes on after u. Passes repeat until one makes no change.
 
-    The swap gains come from _SwapSearch, which holds no pool x pool array.
+    The scan reads widening ranges of pool positions, each range's near
+    pairs one slice of the list; positions that were members when the pass
+    began are masked out. The swap gains come from _SwapSearch, which holds
+    no pool x pool array and drops, before anything else, the pairs that
+    add an exact +0.0 (see first_gain).
     ``q_history`` is q_set of the seed and of the set after each accepted
     swap, bitwise, and ``score`` is its last entry. A gain is the quantity a
     dense evaluation computes, summed in another order: decisions equal the
@@ -247,24 +260,22 @@ def select_ours_batch(
     changed = True
     while changed:
         changed = False
-        candidates = np.flatnonzero(~search.in_set)
-        before = _pairs_before(search.ptr, candidates)
-        i, width = 0, 1
-        while i < candidates.size:
-            # Widening blocks: all of a block is scored against one set, and
+        candidate = ~search.in_set
+        a, width = 0, 1
+        while a < nU:
+            # Widening ranges: all of a range is scored against one set, and
             # after a swap the scan restarts, small, just past the swapped-in u.
-            block = candidates[i : _block_stop(before, i, width)]
-            hit = search.first_gain(block)
+            b = _block_stop(search.ptr, a, width)
+            hit = search.first_gain(a, b, candidate[a:b])
             if hit is None:
-                i += block.size
-                width = min(2 * width, max_width)
+                a, width = b, min(2 * width, max_width)
                 continue
-            pos, slot = hit
-            search.swap(slot, int(block[pos]))
+            u, slot = hit
+            search.swap(slot, u)
             swaps += 1
             changed = True
             q_hist.append(search.q_set())
-            i, width = i + pos + 1, 1
+            a, width = u + 1, 1
     return SelectionTrace(
         chosen=graph.unlabeled[np.sort(search.members)],
         score=q_hist[-1],
@@ -318,7 +329,7 @@ class _SwapSearch:
 
     def _rank(self, rows):
         """Recompute m1, m2 and owner of ``rows`` from the member columns."""
-        step = max(1, _DIST_BUDGET // self.k)
+        step = max(1, _SWAP_BLOCK // self.k)
         for start in range(0, rows.size, step):
             r = rows[start : start + step]
             cols = self.cols[r]
@@ -332,6 +343,8 @@ class _SwapSearch:
         self.cost = np.minimum(self.theta, self.m1)
         self.fallback = np.minimum(self.theta, self.m2)
         out = ~self.in_set
+        # a pair counts toward a gain only below its row's reach
+        self.reach = np.where(out, self.fallback, -np.inf)
         self.member_fallback = self.fallback[self.members]
         self.loss = self.member_fallback + np.bincount(
             self.owner[out],
@@ -344,30 +357,37 @@ class _SwapSearch:
         non-member the weight cost_j, and H' sums them in index order."""
         return self.h - float(np.sum(self.cost[~self.in_set]))
 
-    def first_gain(self, block):
-        """(position in ``block``, slot) of the first candidate with a swap
-        gain above SWAP_TOL and, for it, the smallest member index; or None."""
-        idx, at = _pair_slices(self.ptr, block)
-        j, d = self.rows[idx], self.dist[idx]
-        out = ~self.in_set[j]
-        j, d, at = j[out], d[out], at[out]
+    def first_gain(self, a, b, candidate):
+        """(position, slot) of the first position u in [a, b) where
+        ``candidate`` holds whose swap gain exceeds SWAP_TOL, and for it the
+        slot of the smallest member index with such a gain; or None.
+
+        The range's pairs are one slice of the near-pair list. A pair with
+        d >= fallback_j, or with a member row j, is dropped before anything
+        else is read: it adds max(0, cost_j - d) = +0.0 to G, which leaves
+        a non-negative sum's bits alone, and nothing to C.
+        """
+        lo = self.ptr[a]
+        j, d = self.rows[lo : self.ptr[b]], self.dist[lo : self.ptr[b]]
+        keep = np.flatnonzero(d < self.reach[j])
+        at = np.searchsorted(self.ptr[a + 1 : b + 1], lo + keep, side="right")
+        j, d = j[keep], d[keep]
         cost, fallback = self.cost[j], self.fallback[j]
-        g = np.bincount(at, weights=np.maximum(cost - d, 0.0), minlength=block.size)
-        near = d < fallback
+        g = np.bincount(at, weights=np.maximum(cost - d, 0.0), minlength=b - a)
         c = np.bincount(
-            at[near] * self.k + self.owner[j[near]],
-            weights=fallback[near] - np.maximum(d[near], cost[near]),
-            minlength=block.size * self.k,
-        ).reshape(block.size, self.k)
+            at * self.k + self.owner[j],
+            weights=fallback - np.maximum(d, cost),
+            minlength=(b - a) * self.k,
+        ).reshape(b - a, self.k)
         gain = g[:, None] - self.loss + c
-        gain += np.maximum(self.member_fallback - self.cols[block], 0.0)
-        hits = gain > SWAP_TOL
+        gain += np.maximum(self.member_fallback - self.cols[a:b], 0.0)
+        hits = (gain > SWAP_TOL) & candidate[:, None]
         found = np.flatnonzero(hits.any(axis=1))
         if found.size == 0:
             return None
         first = int(found[0])
         slots = np.flatnonzero(hits[first])
-        return first, int(slots[np.argmin(self.members[slots])])
+        return a + first, int(slots[np.argmin(self.members[slots])])
 
     def swap(self, slot, u):
         """Replace the member in ``slot`` by pool position ``u``.

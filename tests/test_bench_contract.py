@@ -12,7 +12,13 @@ import importlib.util
 
 import numpy as np
 
-from alregress import ExperimentConfig, StrategyConfig, experiment, report
+from alregress import (
+    ExperimentConfig,
+    NNBipartiteGraph,
+    StrategyConfig,
+    experiment,
+    report,
+)
 
 from conftest import REPO_ROOT, synthetic_dataset
 
@@ -62,6 +68,10 @@ def test_traced_run_reads_its_counts(tmp_path, monkeypatch):
         rep = experiment.run_experiment(config)
         report.emit_report(rep, tmp_path)
         report.write_trace_log(rep, tmp_path / "trace.csv")
+        # the graph rules keep their chain's weights without commit, so
+        # its counter is exercised by one call of its own
+        g = NNBipartiteGraph.build([0], [1, 2], np.array([[0.0], [1.0], [3.0]]))
+        g.commit([1])
     assert tr.calls_of("regression.fit") > 0
     assert tr.counts["graph.commit.moved"] > 0
     assert tr.counts["report.emit_report.bytes"] > 0

@@ -165,6 +165,57 @@ class TestLoading:
         with pytest.raises(ValueError, match="line 2"):
             load_dataset(DatasetManifest(name="t", path=str(p)))
 
+    def test_extra_cell_then_missing_cell_names_the_first(self, tmp_path):
+        # line 3 has one cell too many, line 5 one too few: together they
+        # hold rows x width cells, so only a per-line count catches line 3
+        p = self._data_file(tmp_path, "1,2,10\n3,4,20\n5,6,7,30\n8,9,40\n1,50\n")
+        with pytest.raises(ValueError) as err:
+            load_dataset(DatasetManifest(name="t", path=str(p)))
+        assert str(err.value) == "dataset 't': line 3 has 4 columns, expected 3"
+        assert err.value.__suppress_context__  # no parse error chained on
+
+    def test_error_messages_name_the_first_bad_line(self, tmp_path):
+        p = self._data_file(tmp_path, 'h,y\n\n1,10\n2, "x" \n3\n', name="e.csv")
+        manifest = DatasetManifest(name="t", path=str(p), skip_header=True)
+        with pytest.raises(ValueError) as err:
+            load_dataset(manifest)
+        assert str(err.value) == f"dataset 't': non-numeric cell 'x' at line 4 of {p}"
+        assert err.value.__suppress_context__
+        p.write_text("1,10\n\n2,20\n3\n4,x\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_dataset(DatasetManifest(name="t", path=str(p)))
+        assert str(err.value) == "dataset 't': line 4 has 1 columns, expected 2"
+        assert err.value.__suppress_context__
+        # a ragged line with a non-numeric cell is named for the cell, and
+        # so is a bad first data line
+        for text, bad, line in [("1,10\n2,x,3\n", "x", 2), ("a,1\n2,3\n", "a", 1)]:
+            p.write_text(text, encoding="utf-8")
+            with pytest.raises(ValueError) as err:
+                load_dataset(DatasetManifest(name="t", path=str(p)))
+            want = f"dataset 't': non-numeric cell {bad!r} at line {line} of {p}"
+            assert str(err.value) == want
+
+    def test_header_only_file_has_no_data_rows(self, tmp_path):
+        p = self._data_file(tmp_path, "a,b,y\n\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_dataset(DatasetManifest(name="t", path=str(p), skip_header=True))
+
+    def test_cells_parse_as_python_floats(self, tmp_path):
+        # one float() per cell, whatever the spelling: the bits of a
+        # list-of-lists parse
+        rng = np.random.default_rng(3)
+        lines = []
+        for row in rng.normal(scale=1e3, size=(40, 4)).tolist():
+            spelled = [repr(row[0]), f"{row[1]:.3e}", f' "{row[2]!r}" ', f"{row[3]:.17g}"]
+            lines.append(",".join(spelled))
+        p = self._data_file(tmp_path, "\n".join(lines) + "\n")
+        ds = load_dataset(DatasetManifest(name="t", path=str(p)))
+        want = np.asarray(
+            [[float(c.strip().strip('"')) for c in line.split(",")] for line in lines]
+        )
+        assert ds.features.tobytes() == np.ascontiguousarray(want[:, :3]).tobytes()
+        assert ds.targets.tobytes() == np.ascontiguousarray(want[:, 3]).tobytes()
+
     def test_expected_shape_mismatches(self, tmp_path):
         p = self._data_file(tmp_path, "1,2,10\n3,4,20\n")
         with pytest.raises(ValueError, match="expected 5 rows"):

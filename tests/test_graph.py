@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from alregress import BoundDiagnostic, LinearModel, NNBipartiteGraph, check_bound, fit
 from alregress import graph as graph_module
@@ -178,6 +179,63 @@ class TestQValuesBudget:
             tracemalloc.stop()
         assert peak < 2 * budget_bytes, f"peak {peak} bytes at pool {pool}"
         assert 2 * budget_bytes < pool * pool * 8 / 5
+
+
+def near_pairs_reference(g):
+    """One pool x pool cdist, masked by d(u, j) < thetas[j] and grouped by
+    candidate u, rows ascending: what near_pairs must return bitwise."""
+    XU = g.features[g.unlabeled]
+    D = cdist(XU, XU, "cityblock")
+    u, j = np.nonzero(D < g.thetas)
+    ptr = np.zeros(g.unlabeled.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u, minlength=g.unlabeled.size), out=ptr[1:])
+    return ptr, j.astype(np.int32), D[u, j]
+
+
+class TestNearPairs:
+    @staticmethod
+    def assert_is_reference(g):
+        got, want = g.near_pairs(), near_pairs_reference(g)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @given(
+        g=grid_graphs(max_n=40),
+        budget=st.one_of(st.just(graph_module._DIST_BUDGET), st.integers(1, 200)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_grid_graphs(self, g, budget):
+        # duplicate rows and exact ties d == theta, which are left out; a
+        # small budget cuts the pool into row blocks of every shape
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(graph_module, "_DIST_BUDGET", budget)
+            self.assert_is_reference(g)
+
+    def test_far_labeled_point_makes_every_pair_near(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(300, 3))
+        X[0] += 100.0
+        g = NNBipartiteGraph.build([0], np.arange(1, 300), X)
+        self.assert_is_reference(g)
+        assert g.near_pairs()[1].size == 299 * 299
+
+    def test_one_point_pool(self):
+        X = np.array([[0.0, 1.0], [3.0, 1.0]])
+        g = NNBipartiteGraph.build([0], [1], X)
+        self.assert_is_reference(g)
+        ptr, rows, dist = g.near_pairs()
+        assert ptr.tolist() == [0, 1] and rows.tolist() == [0]
+        assert dist.tolist() == [0.0]
+
+    @pytest.mark.parametrize("budget", [1, 5000, 30000, 1 << 18])
+    def test_blocks_with_a_partial_last_block(self, monkeypatch, budget):
+        # a 437-point pool: the two middle budgets cut it into several row
+        # blocks, the last one short; 1 takes one row at a time, the last
+        # budget the whole pool at once
+        monkeypatch.setattr(graph_module, "_DIST_BUDGET", budget)
+        self.assert_is_reference(clustered_graph(3, 477))
 
 
 class TestCommit:

@@ -527,10 +527,11 @@ class TestSharedStart:
 
 
 class TestGraphUse:
-    def test_one_commit_chain_per_graph_trial(self, monkeypatch):
+    def test_one_graph_and_no_commit_per_graph_trial(self, monkeypatch):
         # 2 queries per round over 5 rounds, and a batch of 17: each graph
-        # trial builds one graph and commits each query once; the baselines
-        # never read a graph, so they build none
+        # trial builds one graph and commits nothing, since build_seed_set
+        # keeps its chain's weights itself; the baselines never read a
+        # graph, so they build none
         counts = Counter()
         real_commit = NNBipartiteGraph.commit
         real_build = NNBipartiteGraph.build.__func__
@@ -546,8 +547,8 @@ class TestGraphUse:
         monkeypatch.setattr(NNBipartiteGraph, "commit", commit)
         monkeypatch.setattr(NNBipartiteGraph, "build", classmethod(build))
         expected = {
-            "ours_sequential": (1, 10),
-            "ours_batch": (1, 17),
+            "ours_sequential": (1, 0),
+            "ours_batch": (1, 0),
             "random": (0, 0),
             "greedy": (0, 0),
             "qbc": (0, 0),

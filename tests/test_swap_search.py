@@ -10,15 +10,33 @@ features they agree unless a gain lies within summation error of SWAP_TOL,
 which the seeded sweep below does not meet.
 """
 
+import hashlib
+import importlib.util
+import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alregress import NNBipartiteGraph, build_seed_set, select_ours_batch
+from alregress import (
+    Dataset,
+    NNBipartiteGraph,
+    RegressionSpec,
+    build_model_space,
+    build_seed_set,
+    make_split,
+    select_ours_batch,
+)
 
-from conftest import clustered_graph, dense_local_search, grid_graphs, random_graph
+from conftest import (
+    REPO_ROOT,
+    clustered_graph,
+    dense_local_search,
+    grid_graphs,
+    random_graph,
+)
 
 
 def assert_matches_dense(g, seed):
@@ -113,3 +131,58 @@ def test_batch_holds_no_pool_by_pool_array():
         tracemalloc.stop()
     assert trace.swaps_performed > 0
     assert peak < pool * pool * 8 / 4, f"peak {peak} bytes at pool {pool}"
+
+
+def _workloads():
+    """perfbench/workloads.py, loaded by path (perfbench is no package)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+# split seed -> SHA-256 of build_seed_set(g, 676)'s picks and drops, and of
+# select_ours_batch's chosen set, swap count and q_history from those picks
+_FULL_K_PINS = {
+    0: (
+        "4cb957fc2946563867eb8c728e2ba9a70a6666b6a4050ffd0daa886ffcc983b2",
+        "709511f7815037df634303911437bd6611f561609a0cc32f5bc060d295bc59fb",
+    ),
+    1: (
+        "eb2ac2ecf9a46b9adc3054ba5484be28d22dd486d90b9995780db32980be45fc",
+        "a1fcfc081018bd2b332750d7cb90f874c86b7e2db3cc941fbfea8a19a92d8550",
+    ),
+}
+
+
+@pytest.mark.parametrize("split_seed", sorted(_FULL_K_PINS))
+def test_full_k_whitewine_stand_in_is_pinned(split_seed):
+    """The protocol's full batch (k = 676 of a 3,380-point pool) on the
+    graph-whitewine stand-in, a regime the benchmark, which stops at
+    k = 68, never reaches: the chain's picks and drop bits and the search's
+    set, swap count and q_history bits stay those pinned. About 2 s each."""
+    wl = _workloads()
+    workload = wl.WORKLOADS["graph-whitewine"]
+    # the benchmark writes these floats as repr and loads them back exactly
+    X, y = wl.stand_in(workload, 0)
+    space = build_model_space(
+        Dataset(features=X, targets=y, name=workload.name),
+        RegressionSpec(kind="linear"),
+    )
+    split = make_split(space.n, split_seed)
+    g = NNBipartiteGraph.build(split.initial_labeled, split.unlabeled_pool,
+                               space.features)
+    assert g.unlabeled.size == 3380
+    picks, drops = build_seed_set(g, 676)
+    trace = select_ours_batch(g, 676, seed_set=picks)
+    chain = hashlib.sha256(picks.astype("<i8").tobytes()
+                           + drops.astype("<f8").tobytes())
+    search = hashlib.sha256(
+        np.asarray(trace.chosen, dtype="<i8").tobytes()
+        + np.int64(trace.swaps_performed).astype("<i8").tobytes()
+        + np.asarray(trace.q_history, dtype="<f8").tobytes()
+    )
+    assert (chain.hexdigest(), search.hexdigest()) == _FULL_K_PINS[split_seed]
