@@ -43,12 +43,10 @@ print(f"greedy:             point {greedy.chosen}, min distance {greedy.score:.3
 rand = select_random(graph.unlabeled, np.random.default_rng(0))
 print(f"random:             point {rand.chosen}")
 
-qbc = select_qbc(X, y, graph.labeled, graph.unlabeled,
-                 committee_size=4, rng=np.random.default_rng(1))
+qbc = select_qbc(X, y, graph.labeled, graph.unlabeled, rng=np.random.default_rng(1))
 print(f"committee variance: point {qbc.chosen}, variance {qbc.score:.3f}")
 
-emcm = select_emcm(X, y, graph.labeled, graph.unlabeled,
-                   ensemble_size=4, rng=np.random.default_rng(1))
+emcm = select_emcm(X, y, graph.labeled, graph.unlabeled, rng=np.random.default_rng(1))
 print(f"model change:       point {emcm.chosen}, expected change {emcm.score:.3f}")
 
 print("\nthe graph rules and greedy read only features; the committee rules")

@@ -261,7 +261,7 @@ def _orders(
             orders["ours_sequential"] = picks[:seq_n], drops[:seq_n]
         if k:
             trace = select_ours_batch(graph, k, picks[:k])
-            orders["ours_batch"] = np.sort(trace.chosen), np.full(k, trace.score)
+            orders["ours_batch"] = trace.chosen, np.full(k, trace.score)
     if "greedy" in sizes:
         n = sizes["greedy"] * config.rounds
         orders["greedy"] = greedy_order(Z, labeled, pool, n)

@@ -19,10 +19,9 @@ from scipy.spatial.distance import cdist
 # and validation.bound_violations (acceptance criterion 2) both allow it.
 BOUND_TOL = 1e-12
 
-# Pairwise distances a blocked scan holds at once: q_values scores
-# max(1, _DIST_BUDGET // |U|) candidate columns per block, near_pairs takes
-# as many candidate rows, and the graph rules in strategies use the same
-# budget.
+# Pairwise distances a blocked scan holds at once: q_columns scores
+# max(1, _DIST_BUDGET // rows) candidate columns per block, and near_pairs
+# takes max(1, _DIST_BUDGET // |U|) candidate rows.
 _DIST_BUDGET = 1 << 18
 
 
@@ -59,11 +58,19 @@ def q_columns(rows, thetas, h, candidates) -> np.ndarray:
     reduces a single column pairwise but a wider block row by row, and the
     two orders can split an exact tie, which would let the number of
     columns scored together change a greedy pick.
+
+    Scores blocks of max(1, _DIST_BUDGET // len(rows)) columns, each block
+    freed before the next is computed, so one budget of distances is held.
     """
-    d = cdist(rows, candidates, "cityblock")
-    np.minimum(thetas[:, None], d, out=d)
-    np.add.accumulate(d, axis=0, out=d)  # sequential by definition
-    return h - d[-1]
+    out = np.empty(len(candidates))
+    step = max(1, _DIST_BUDGET // max(len(rows), 1))
+    for start in range(0, len(candidates), step):
+        d = cdist(rows, candidates[start : start + step], "cityblock")
+        np.minimum(thetas[:, None], d, out=d)
+        np.add.accumulate(d, axis=0, out=d)  # sequential by definition
+        out[start : start + step] = h - d[-1]
+        del d
+    return out
 
 
 class NNBipartiteGraph:
@@ -160,23 +167,14 @@ class NNBipartiteGraph:
     def q_values(self) -> np.ndarray:
         """q_single for every unlabeled point, aligned with ``unlabeled``.
 
-        Column blocks of q_columns. Each entry sums its column in row order,
-        so it does not depend on the block width; it can differ from
+        q_columns of every pool point. Each entry sums its column in row
+        order, so it does not depend on the block width; it can differ from
         q_single, a difference of two totals that numpy sums pairwise, in
         the last bits. build_seed_set picks what an argmax of it picks,
         without calling it; the tests keep it as the reference.
         """
-        m = self.unlabeled.size
-        out = np.empty(m, dtype=np.float64)
-        if m == 0:
-            return out
         XU = self.features[self.unlabeled]
-        h = self.total_uncertainty()
-        step = max(1, _DIST_BUDGET // m)
-        for start in range(0, m, step):
-            stop = min(start + step, m)
-            out[start:stop] = q_columns(XU, self.thetas, h, XU[start:stop])
-        return out
+        return q_columns(XU, self.thetas, self.total_uncertainty(), XU)
 
     def near_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every pool pair (j, u) with L1(x_j, x_u) < thetas[j], grouped by u.

@@ -15,11 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .graph import _DIST_BUDGET, NNBipartiteGraph, q_columns
+from .graph import NNBipartiteGraph, q_columns
 from .regression import fit, predict
 
 # Minimum strict improvement for a batch swap to be accepted.
 SWAP_TOL = 1e-12
+
+# Bootstrap members of the qbc and emcm committee.
+COMMITTEE_SIZE = 4
 
 # Swap gains (candidates x members), member-column rows (rows x members) and
 # near pairs that the batch search and lazy greedy's sparse scores hold for
@@ -199,12 +202,7 @@ def build_seed_set(graph: NNBipartiteGraph, k: int) -> tuple[np.ndarray, np.ndar
             best = max(best, float(bound[todo].max()))
             width *= 2
         contenders = np.flatnonzero(alive & fresh & (bound >= best - eps))
-        rows, theta = X[alive], weights[alive]
-        exact = np.empty(contenders.size)
-        step = max(1, _DIST_BUDGET // rows.shape[0])
-        for start in range(0, contenders.size, step):
-            part = contenders[start : start + step]
-            exact[start : start + step] = q_columns(rows, theta, h, X[part])
+        exact = q_columns(X[alive], weights[alive], h, X[contenders])
         pos = int(contenders[np.argmax(exact)])
         picks[i] = pool[pos]
         alive[pos] = False
@@ -235,11 +233,12 @@ def select_ours_batch(
     began are masked out. The swap gains come from _SwapSearch, which holds
     no pool x pool array and drops, before anything else, the pairs that
     add an exact +0.0 (see first_gain).
-    ``q_history`` is q_set of the seed and of the set after each accepted
-    swap, bitwise, and ``score`` is its last entry. A gain is the quantity a
-    dense evaluation computes, summed in another order: decisions equal the
-    dense reference's on integer data, and on other data unless some gain
-    lies within summation error of SWAP_TOL.
+    ``chosen`` is the final set, ascending. ``q_history`` is q_set of the
+    seed and of the set after each accepted swap, bitwise, and ``score`` is
+    its last entry. A gain is the quantity a dense evaluation computes,
+    summed in another order: decisions equal the dense reference's on
+    integer data, and on other data unless some gain lies within summation
+    error of SWAP_TOL.
     """
     nU = graph.unlabeled.size
     if not 1 <= k <= nU:
@@ -463,19 +462,34 @@ def select_greedy(
     return SelectionTrace(chosen=int(picks[0]), score=float(scores[0]))
 
 
-def _bootstrap_predictions(features, labels, labeled, unlabeled, n_members, alpha, rng):
-    """Fit n_members models on with-replacement resamples of the labeled set,
-    drawn sequentially from ``rng``, and predict the pool."""
+def _committee(features, labels, labeled, unlabeled, rng, alpha, emcm):
+    """The shared body of select_qbc and select_emcm.
+
+    Fits COMMITTEE_SIZE models on with-replacement resamples of the labeled
+    set, one rng.integers(0, m, size=m) draw each and in turn, and predicts
+    the pool with each; emcm's model on the whole labeled set draws nothing.
+    Returns the pool point of the largest score, ties to the first.
+    """
+    labeled = np.asarray(labeled, dtype=np.int64)
+    unlabeled = np.asarray(unlabeled, dtype=np.int64)
+    if unlabeled.size == 0:
+        raise ValueError("cannot select from an empty pool")
+    X_lab, y_lab, X_pool = features[labeled], labels[labeled], features[unlabeled]
+    if emcm:
+        f_main = predict(fit(X_lab, y_lab, alpha), X_pool)
     m = labeled.size
-    preds = np.empty((n_members, unlabeled.size), dtype=np.float64)
-    X_lab = features[labeled]
-    y_lab = labels[labeled]
-    X_pool = features[unlabeled]
-    for b in range(n_members):
+    preds = np.empty((COMMITTEE_SIZE, unlabeled.size), dtype=np.float64)
+    for b in range(COMMITTEE_SIZE):
         idx = rng.integers(0, m, size=m)
-        model = fit(X_lab[idx], y_lab[idx], alpha)
-        preds[b] = predict(model, X_pool)
-    return preds
+        preds[b] = predict(fit(X_lab[idx], y_lab[idx], alpha), X_pool)
+    if emcm:
+        # Gradient magnitude of a squared-error stump at x is |df| * ||[x; 1]||.
+        aug_norm = np.sqrt((X_pool**2).sum(axis=1) + 1.0)
+        score = np.abs(f_main[None, :] - preds).mean(axis=0) * aug_norm
+    else:
+        score = preds.var(axis=0)
+    pos = int(np.argmax(score))
+    return SelectionTrace(chosen=int(unlabeled[pos]), score=float(score[pos]))
 
 
 def select_qbc(
@@ -484,22 +498,10 @@ def select_qbc(
     labeled: np.ndarray,
     unlabeled: np.ndarray,
     rng: np.random.Generator,
-    committee_size: int = 4,
     alpha: float = 0.0,
 ) -> SelectionTrace:
     """Query by committee: maximize population variance of bootstrap predictions."""
-    labeled = np.asarray(labeled, dtype=np.int64)
-    unlabeled = np.asarray(unlabeled, dtype=np.int64)
-    if unlabeled.size == 0:
-        raise ValueError("cannot select from an empty pool")
-    if committee_size < 2:
-        raise ValueError("committee_size must be >= 2")
-    preds = _bootstrap_predictions(
-        features, labels, labeled, unlabeled, committee_size, alpha, rng
-    )
-    variance = preds.var(axis=0)
-    pos = int(np.argmax(variance))
-    return SelectionTrace(chosen=int(unlabeled[pos]), score=float(variance[pos]))
+    return _committee(features, labels, labeled, unlabeled, rng, alpha, emcm=False)
 
 
 def select_emcm(
@@ -508,24 +510,9 @@ def select_emcm(
     labeled: np.ndarray,
     unlabeled: np.ndarray,
     rng: np.random.Generator,
-    ensemble_size: int = 4,
     alpha: float = 0.0,
 ) -> SelectionTrace:
-    """Expected model change: mean over the ensemble of
-    |f(x) - f_b(x)| * ||x with intercept||_2, maximized over the pool."""
-    labeled = np.asarray(labeled, dtype=np.int64)
-    unlabeled = np.asarray(unlabeled, dtype=np.int64)
-    if unlabeled.size == 0:
-        raise ValueError("cannot select from an empty pool")
-    if ensemble_size < 2:
-        raise ValueError("ensemble_size must be >= 2")
-    main = fit(features[labeled], labels[labeled], alpha)
-    f_main = predict(main, features[unlabeled])
-    preds = _bootstrap_predictions(
-        features, labels, labeled, unlabeled, ensemble_size, alpha, rng
-    )
-    # Gradient magnitude of a squared-error stump at x is |df| * ||[x; 1]||.
-    aug_norm = np.sqrt((features[unlabeled] ** 2).sum(axis=1) + 1.0)
-    change = np.abs(f_main[None, :] - preds).mean(axis=0) * aug_norm
-    pos = int(np.argmax(change))
-    return SelectionTrace(chosen=int(unlabeled[pos]), score=float(change[pos]))
+    """Expected model change: mean over the committee of
+    |f(x) - f_b(x)| * ||x with intercept||_2, maximized over the pool, where
+    f is the model on the whole labeled set."""
+    return _committee(features, labels, labeled, unlabeled, rng, alpha, emcm=True)

@@ -89,10 +89,14 @@ def bound_violations(rng, draws: int) -> int:
 
 
 def optimum(graph: NNBipartiteGraph, k: int) -> tuple[float, float]:
-    """The best k-subset's q and the H it leaves, by enumeration. Asserts the
-    max-Q / min-total duality bitwise and that mmtd_decide accepts at the
-    optimum."""
-    _, best_q = best_subset_by_q(graph, k)
+    """The best k-subset's q and the H it leaves, by enumeration. Asserts,
+    bitwise, that q is graph.q_set of that subset (the enumerated weights
+    against commit's), the max-Q / min-total duality, and that mmtd_decide
+    accepts at the optimum; the last two sum the same enumerated weights on
+    both sides, so only the first can catch a wrong enumeration kernel."""
+    best_subset, best_q = best_subset_by_q(graph, k)
+    if best_q != graph.q_set(best_subset):
+        raise AssertionError("enumerated q differs from q_set of the best subset")
     residual_opt = min_total_after(graph, k)
     # Subtracting a larger total never rounds past a smaller one.
     if best_q != graph.total_uncertainty() - residual_opt:

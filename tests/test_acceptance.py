@@ -155,7 +155,7 @@ def test_criterion_04_local_search_within_5x(search_instances):
 
 def test_criterion_05_reduction_total_duality(search_instances):
     for g, k in search_instances:
-        optimum(g, k)  # asserts the duality bitwise
+        optimum(g, k)  # asserts q_set of the best subset and the duality bitwise
     record_criterion(5, "PASS", "exact equality on all 100 instances")
 
 

@@ -20,7 +20,9 @@ from alregress import (
     mmmd_decide,
     mmtd_decide,
 )
+from alregress import exhaustive
 from alregress.exhaustive import MAX_POOL
+from alregress.validation import optimum
 
 from conftest import grid_graphs, q_by_rebuild, random_graph
 
@@ -84,6 +86,20 @@ class TestBestSubset:
             best_subset_by_q(toy_graph, 0)
         with pytest.raises(ValueError):
             best_subset_by_q(toy_graph, 5)
+
+
+def test_optimum_catches_weights_off_commit(toy_graph, monkeypatch):
+    # Weights a few roundings above commit's: the duality and mmtd_decide
+    # still agree, since they sum the same weights; only q_set can tell.
+    real = exhaustive._weights_after
+
+    def skewed(graph, sizes):
+        for subset, weights in real(graph, sizes):
+            yield subset, weights * (1.0 + 2.0**-50)
+
+    monkeypatch.setattr(exhaustive, "_weights_after", skewed)
+    with pytest.raises(AssertionError, match="q_set"):
+        optimum(toy_graph, 2)
 
 
 class TestMinTotal:

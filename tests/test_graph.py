@@ -141,8 +141,9 @@ def clustered_graph(seed, n, d=6, n_labeled=40):
 
 
 class TestQValuesBudget:
-    """q_values scores max(1, _DIST_BUDGET // |U|) columns per block; the
-    bits must not depend on that width."""
+    """q_values is one q_columns call, which scores max(1, _DIST_BUDGET //
+    |U|) columns per block and frees each block before the next; the bits
+    must not depend on that width."""
 
     @staticmethod
     def one_column_at_a_time(g):

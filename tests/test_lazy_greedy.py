@@ -31,7 +31,7 @@ from alregress import (
     make_split,
     run_trial,
 )
-from alregress import strategies
+from alregress import graph as graph_module
 from alregress.graph import _DIST_BUDGET, q_columns
 from alregress.strategies import _sparse_scores, lazy_tolerance
 
@@ -144,15 +144,16 @@ class TestContenders:
         base = rng.normal(scale=5.0, size=(3, 4))
         X = np.vstack([base + 0.5, base[rng.integers(0, 3, size=1200)]])
         g = NNBipartiteGraph.build(np.arange(3), np.arange(3, 1203), X)
+        g.near_pairs()  # cached now, so every graph cdist below is q_columns'
         widths = []
-        real = strategies.q_columns
+        real = graph_module.cdist
 
-        def q_columns_spy(rows, thetas, h, candidates):
+        def cdist_spy(rows, candidates, metric):
             widths.append(candidates.shape[0])
             assert rows.shape[0] * candidates.shape[0] <= _DIST_BUDGET
-            return real(rows, thetas, h, candidates)
+            return real(rows, candidates, metric)
 
-        monkeypatch.setattr(strategies, "q_columns", q_columns_spy)
+        monkeypatch.setattr(graph_module, "cdist", cdist_spy)
         picks = build_seed_set(g, 3)[0]
         monkeypatch.undo()
         assert len(widths) > 3 and sum(widths) > 300

@@ -24,6 +24,7 @@ from alregress import (
     select_qbc,
     select_random,
 )
+from alregress.strategies import COMMITTEE_SIZE
 
 from conftest import greedy_scan, grid_graphs, random_graph
 
@@ -266,9 +267,9 @@ class TestQbc:
         unlabeled = np.arange(10, 30)
         trace = select_qbc(
             X, y, labeled, unlabeled,
-            committee_size=4, alpha=0.0, rng=np.random.default_rng(99),
+            alpha=0.0, rng=np.random.default_rng(99),
         )
-        preds = _replay_bootstrap(X, y, labeled, unlabeled, 4, 0.0, 99)
+        preds = _replay_bootstrap(X, y, labeled, unlabeled, COMMITTEE_SIZE, 0.0, 99)
         variance = preds.var(axis=0)  # population variance across members
         assert trace.chosen == int(unlabeled[int(np.argmax(variance))])
         assert trace.score == float(variance.max())
@@ -287,7 +288,7 @@ class TestQbc:
         y = np.array([1.0, 1.0, 3.0, 3.0] * 3)
         trace = select_qbc(
             X, y, np.arange(12), np.array([0]),  # score any point
-            committee_size=3, rng=np.random.default_rng(2),
+            rng=np.random.default_rng(2),
         )
         assert trace.score == pytest.approx(0.0, abs=1e-10)
 
@@ -301,11 +302,11 @@ class TestEmcm:
         unlabeled = np.arange(12, 30)
         trace = select_emcm(
             X, y, labeled, unlabeled,
-            ensemble_size=4, alpha=0.0, rng=np.random.default_rng(7),
+            alpha=0.0, rng=np.random.default_rng(7),
         )
         main = fit(X[labeled], y[labeled], 0.0)
         f_main = predict(main, X[unlabeled])
-        preds = _replay_bootstrap(X, y, labeled, unlabeled, 4, 0.0, 7)
+        preds = _replay_bootstrap(X, y, labeled, unlabeled, COMMITTEE_SIZE, 0.0, 7)
         aug = np.sqrt((X[unlabeled] ** 2).sum(axis=1) + 1.0)
         change = np.abs(f_main[None, :] - preds).mean(axis=0) * aug
         assert trace.chosen == int(unlabeled[int(np.argmax(change))])
@@ -317,14 +318,28 @@ class TestEmcm:
         X = np.random.default_rng(73).normal(size=(24, 2))
         y = X[:, 0] - X[:, 1]
         labeled, unlabeled = np.arange(9), np.arange(9, 24)
-        q = select_qbc(X, y, labeled, unlabeled, np.random.default_rng(11), 3, 0.0)
-        e = select_emcm(X, y, labeled, unlabeled, np.random.default_rng(11), 3, 0.0)
+        q = select_qbc(X, y, labeled, unlabeled, np.random.default_rng(11), 0.0)
+        e = select_emcm(X, y, labeled, unlabeled, np.random.default_rng(11), 0.0)
         assert q.chosen in unlabeled and e.chosen in unlabeled
 
-    def test_ensemble_size_guard(self):
-        X = np.zeros((4, 1))
-        with pytest.raises(ValueError):
-            select_emcm(
-                X, np.zeros(4), np.arange(2), np.arange(2, 4),
-                np.random.default_rng(0), ensemble_size=1,
-            )
+
+class TestCommitteeStream:
+    """The stream contract of the committee: one select_qbc or select_emcm
+    call takes exactly COMMITTEE_SIZE draws of integers(0, m, size=m) from
+    its rng, m labeled points, and emcm's fit on the whole labeled set takes
+    none."""
+
+    @pytest.mark.parametrize("select", [select_qbc, select_emcm])
+    @pytest.mark.parametrize("m", [2, 7, 20])
+    def test_advances_rng_by_the_committee_draws(self, select, m):
+        X = np.random.default_rng(79).normal(size=(m + 6, 3))
+        y = X @ np.array([1.0, 0.5, -2.0])
+        labeled, unlabeled = np.arange(m), np.arange(m, m + 6)
+        rng, replay = np.random.default_rng(13), np.random.default_rng(13)
+        for _ in range(2):  # consecutive calls too
+            select(X, y, labeled, unlabeled, rng)
+            state = rng.bit_generator.state
+            assert state != replay.bit_generator.state
+            for _ in range(COMMITTEE_SIZE):
+                replay.integers(0, m, size=m)
+            assert state == replay.bit_generator.state

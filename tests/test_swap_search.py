@@ -81,6 +81,19 @@ class TestEqualsDenseOnGrid:
         assert_matches_dense(g, np.asarray(order[:k], dtype=np.int64))
 
 
+@given(g=grid_graphs(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_chosen_is_strictly_ascending(g, data):
+    """The harness labels a batch in the order of ``chosen``, unsorted: both
+    branches, the search (k < pool) and the whole pool (k = pool), return
+    it strictly ascending, whatever the seed's order."""
+    pool = g.unlabeled.size
+    order = np.asarray(data.draw(st.permutations(g.unlabeled.tolist())), dtype=np.int64)
+    for k in sorted({data.draw(st.integers(1, max(1, pool - 1))), pool}):
+        chosen = select_ours_batch(g, k, seed_set=order[:k]).chosen
+        assert chosen.size == k and np.all(np.diff(chosen) > 0)
+
+
 class TestEqualsDenseOnContinuous:
     def test_random_graph_sweep(self):
         rng = np.random.default_rng(71)
