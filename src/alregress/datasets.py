@@ -40,6 +40,13 @@ _MANIFEST_FIELDS = {
 }
 
 
+def require_int(field: str, value) -> None:
+    """Reject a config field that is not an integer: bools, which are ints
+    in Python, and floats, integral ones too. NumPy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 def round_half_up(x: float) -> int:
     """Nearest integer, halves rounding up; used for every fractional set size."""
     return int(math.floor(x + 0.5))

@@ -55,6 +55,7 @@ from .datasets import (
     fit_standardizer,
     load_dataset,
     make_split,
+    require_int,
     round_half_up,
     split_sizes,
 )
@@ -111,6 +112,7 @@ class RegressionSpec:
             raise ValueError(f"unknown regression kind {self.kind!r}")
         if self.alpha is not None and not 0 <= self.alpha < np.inf:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        require_int("degree", self.degree)
         if self.kind == "polynomial" and self.degree < 1:
             raise ValueError("polynomial degree must be >= 1")
 
@@ -136,6 +138,8 @@ class ExperimentConfig:
         kinds = [s.kind for s in self.strategies]
         if len(set(kinds)) != len(kinds):
             raise ValueError("duplicate strategy kinds in one experiment")
+        for name in ("trials", "rounds", "base_seed"):
+            require_int(name, getattr(self, name))
         if self.trials < 1 or self.rounds < 1:
             raise ValueError("trials and rounds must be >= 1")
         if self.base_seed < 0:

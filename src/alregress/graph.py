@@ -19,9 +19,10 @@ from scipy.spatial.distance import cdist
 # and validation.bound_violations (acceptance criterion 2) both allow it.
 BOUND_TOL = 1e-12
 
-# Pairwise distances a blocked scan holds at once: q_columns scores
-# max(1, _DIST_BUDGET // rows) candidate columns per block, and near_pairs
-# takes max(1, _DIST_BUDGET // |U|) candidate rows.
+# Pairwise distances a blocked scan holds at once: near_pairs, which lazy
+# greedy and the swap search read, takes max(1, _DIST_BUDGET // |U|)
+# candidate rows per block, and q_columns, the dense reference behind
+# q_values, scores max(1, _DIST_BUDGET // rows) candidate columns.
 _DIST_BUDGET = 1 << 18
 
 
@@ -48,13 +49,14 @@ def _as_index_array(idx, n: int, name: str) -> np.ndarray:
     return arr
 
 
-def q_columns(rows, thetas, h, candidates) -> np.ndarray:
-    """h - sum_j min(thetas[j], L1(rows[j], c)) for every row c of ``candidates``.
+def q_columns(rows, thetas, candidates) -> np.ndarray:
+    """sum_j max(0, thetas[j] - L1(rows[j], c)) for every row c of ``candidates``.
 
-    ``rows``/``thetas`` are the unlabeled points and their weights, ``h`` their
-    total weight and every candidate one of the rows: its own entry is
-    min(theta, 0) = 0, so each sum is H' after moving just that candidate.
-    Sums run in row order at every width. ``sum(axis=0)`` would not: numpy
+    ``rows``/``thetas`` are the unlabeled points and their weights, and every
+    candidate one of the rows: its own term is its weight, so each sum is
+    the drop in H from moving just that candidate. The terms are summed
+    directly, so the rounding error is relative to q, not to H, and in row
+    order at every width. ``sum(axis=0)`` would not keep that order: numpy
     reduces a single column pairwise but a wider block row by row, and the
     two orders can split an exact tie, which would let the number of
     columns scored together change a greedy pick.
@@ -66,9 +68,10 @@ def q_columns(rows, thetas, h, candidates) -> np.ndarray:
     step = max(1, _DIST_BUDGET // max(len(rows), 1))
     for start in range(0, len(candidates), step):
         d = cdist(rows, candidates[start : start + step], "cityblock")
-        np.minimum(thetas[:, None], d, out=d)
+        np.subtract(thetas[:, None], d, out=d)
+        np.maximum(d, 0.0, out=d)
         np.add.accumulate(d, axis=0, out=d)  # sequential by definition
-        out[start : start + step] = h - d[-1]
+        out[start : start + step] = d[-1]
         del d
     return out
 
@@ -167,14 +170,15 @@ class NNBipartiteGraph:
     def q_values(self) -> np.ndarray:
         """q_single for every unlabeled point, aligned with ``unlabeled``.
 
-        q_columns of every pool point. Each entry sums its column in row
-        order, so it does not depend on the block width; it can differ from
-        q_single, a difference of two totals that numpy sums pairwise, in
-        the last bits. build_seed_set picks what an argmax of it picks,
-        without calling it; the tests keep it as the reference.
+        q_columns of every pool point: each entry sums its column's terms in
+        row order, so it does not depend on the block width. It can differ
+        in the last bits from q_single, a difference of two totals that
+        numpy sums pairwise. build_seed_set's sparse scores are these
+        entries bit for bit, so it picks what an argmax of q_values picks
+        without calling it; the tests keep q_values as the reference.
         """
         XU = self.features[self.unlabeled]
-        return q_columns(XU, self.thetas, self.total_uncertainty(), XU)
+        return q_columns(XU, self.thetas, XU)
 
     def near_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every pool pair (j, u) with L1(x_j, x_u) < thetas[j], grouped by u.

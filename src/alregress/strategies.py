@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .graph import NNBipartiteGraph, q_columns
+from .datasets import require_int
+from .graph import NNBipartiteGraph
 from .regression import fit, predict
 
 # Minimum strict improvement for a batch swap to be accepted.
@@ -49,8 +50,10 @@ class StrategyConfig:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.batch_k is not None and self.kind != "ours_batch":
             raise ValueError(f"batch_k applies only to ours_batch, not {self.kind!r}")
-        if self.batch_k is not None and self.batch_k < 1:
-            raise ValueError("batch_k must be positive")
+        if self.batch_k is not None:
+            require_int("batch_k", self.batch_k)
+            if self.batch_k < 1:
+                raise ValueError("batch_k must be positive")
 
 
 @dataclass(frozen=True)
@@ -70,37 +73,13 @@ class SelectionTrace:
 def select_ours_sequential(graph: NNBipartiteGraph) -> SelectionTrace:
     """Argmax of q_values over the pool; ties go to the smallest index.
 
-    The score is q_single of the pick (see q_values on how the two differ)."""
+    The pick is build_seed_set's first, and the score its drop in H, which
+    is q_single of the pick: it can differ from the q_values entry in the
+    last bits (see q_values)."""
     if graph.unlabeled.size == 0:
         raise ValueError("cannot select from an empty pool")
     picks, drops = build_seed_set(graph, 1)
     return SelectionTrace(chosen=int(picks[0]), score=float(drops[0]))
-
-
-def lazy_tolerance(pool_size: int, total: float) -> float:
-    """Slack that covers both stale scores and the sparse/row-order gap.
-
-    Let R_i(u) = sum of max(0, theta_i(j) - d(j, u)) over the pool rows j,
-    in exact arithmetic on the float weights and distances of the chain's
-    graph g_i: q of u on g_i. R only falls along the chain, because commit
-    only lowers weights (min is exact) and drops picked rows. build_seed_set
-    reads two float sums of it, each over at most n = ``pool_size``
-    non-negative terms that add up to at most T = ``total``, the initial H;
-    with e = 2**-53, to first order:
-
-    - the sparse score S (one rounded subtraction per term, summed by
-      bincount) is within dS = n * e * T of R;
-    - the exact score E of q_columns (h, summed pairwise, minus a running
-      sum of min(theta, d), each within (n - 1) * e * T, then one rounded
-      subtraction) is within dE = 2 * n * e * T of R.
-
-    So a maximiser v of E on g_i and the fresh point b of the best sparse
-    score satisfy S(v) >= E(v) - dE - dS >= E(b) - dE - dS >= S(b) - 2 *
-    (dE + dS) = best - 6 * n * e * T, and a stale S(v), taken on an earlier
-    graph where R(v) was no lower, satisfies the same. The 8 leaves room for
-    the second-order terms.
-    """
-    return 8.0 * pool_size * 2.0**-53 * total
 
 
 def _pair_slices(ptr, block):
@@ -153,16 +132,15 @@ def build_seed_set(graph: NNBipartiteGraph, k: int) -> tuple[np.ndarray, np.ndar
     Each pick is the argmax of q_values on the graph committed so far, ties
     to the smallest index, found by lazy greedy (Minoux 1978) over sparse
     scores: the sum of max(0, theta(j) - d(j, u)) over u's graph.near_pairs,
-    under the chain's current weights (0 for picked rows), the quantity
-    q_single measures. Every point's first sparse score is its bound; a pick
-    re-scores, sparsely, the points whose stale bound comes within
-    lazy_tolerance of the best fresh score, and then re-scores with
-    q_columns, exactly and in row order, every fresh point whose sparse
-    score comes within lazy_tolerance of that best. The exact argmax of
-    those contenders, ties to the smallest index, is the pick: by
-    lazy_tolerance's argument every maximiser of q_values is among them and
-    a q_columns score is bitwise the q_values entry, so the picks are those
-    of the eager loop that calls q_values before every pick.
+    in row order, under the chain's current weights (0 for picked rows).
+    That is the q_values entry bit for bit: a row outside u's pairs adds
+    +0.0 there, which leaves a non-negative sum's bits alone, and both add
+    the rest in row order. Weights only fall along the chain, and rounded
+    subtraction, max and addition are monotone, so a stale score bounds
+    the fresh one from above exactly. A pick re-scores every point whose
+    stale bound is at least the best fresh score and then takes the
+    smallest position whose fresh score is that best: the eager loop's
+    pick, which calls q_values before every pick.
 
     Returns ``(picks, drops)``. Every pick, the last too, is taken along
     one chain g_0 = graph, g_{i+1} = g_i.commit([picks[i]]), and
@@ -181,7 +159,6 @@ def build_seed_set(graph: NNBipartiteGraph, k: int) -> tuple[np.ndarray, np.ndar
     weights = graph.thetas.copy()  # g_i's weights at initial pool positions
     h = graph.total_uncertainty()
     bound = _sparse_scores(pairs, weights, np.arange(pool.size))
-    eps = lazy_tolerance(pool.size, h)
     alive = np.ones(pool.size, dtype=bool)
     fresh = np.ones(pool.size, dtype=bool)
     picks = np.empty(k, dtype=np.int64)
@@ -190,7 +167,7 @@ def build_seed_set(graph: NNBipartiteGraph, k: int) -> tuple[np.ndarray, np.ndar
         best = float(np.max(bound, where=alive & fresh, initial=-np.inf))
         width = 2
         while True:
-            todo = np.flatnonzero(alive & ~fresh & (bound >= best - eps))
+            todo = np.flatnonzero(alive & ~fresh & (bound >= best))
             if todo.size == 0:
                 break
             # Highest bounds first, in widening batches: an early high fresh
@@ -201,9 +178,7 @@ def build_seed_set(graph: NNBipartiteGraph, k: int) -> tuple[np.ndarray, np.ndar
             fresh[todo] = True
             best = max(best, float(bound[todo].max()))
             width *= 2
-        contenders = np.flatnonzero(alive & fresh & (bound >= best - eps))
-        exact = q_columns(X[alive], weights[alive], h, X[contenders])
-        pos = int(contenders[np.argmax(exact)])
+        pos = int(np.flatnonzero(alive & fresh & (bound == best))[0])
         picks[i] = pool[pos]
         alive[pos] = False
         # commit's weights: min(weight, distance to the pick), 0 at the pick

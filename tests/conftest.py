@@ -1,11 +1,13 @@
 """Shared fixtures: the 1-D toy graph, random, clustered and integer-grid
 instances, the slow references for lazy greedy, the greedy max-min-distance
 walk, the swap search, rebuilds and least squares, the replay of a harness
-trial on a graph, and benchmark data discovery.
+trial on a graph, benchmark data discovery, and the OpenBLAS kernel the run
+uses, named in the report header.
 
 ``random_graph`` is the library's ``validation.random_instance``, so the
 unit tests and ``al-regress validate`` draw instances the same way."""
 
+import ctypes
 import os
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from alregress import (
     make_split,
     select_greedy,
 )
-from alregress.regression import FLOOR_ALPHA
+from alregress.regression import FLOOR_ALPHA, _openblas_symbol
 from alregress.strategies import SWAP_TOL
 from alregress.validation import check_commit, check_graph
 from alregress.validation import random_instance as random_graph  # noqa: F401
@@ -38,6 +40,32 @@ BENCH_FILES = {
     "redwine": "winequality-red.csv",
     "whitewine": "winequality-white.csv",
 }
+
+
+def openblas_cores() -> str:
+    """"library: core" for every OpenBLAS mapped into this process, the core
+    read from its openblas_get_corename, looked up under the names that
+    regression looks the thread controls up under.
+
+    Pinned lstsq and GEMM bytes hold on one kernel (AVX-512 SkylakeX) and
+    not on the AVX2 ones, so the header and the failure messages of the
+    BLAS-derived pins name it."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        paths = set()
+    cores = []
+    for path in sorted(p for p in paths if p.startswith("/")):
+        corename = _openblas_symbol(ctypes.CDLL(path), "get_corename")
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            cores.append(f"{Path(path).name}: {corename().decode()}")
+    return "; ".join(cores) or "none found"
+
+
+def pytest_report_header(config):
+    return f"OpenBLAS cores: {openblas_cores()}"
 
 
 def data_dir() -> Path:

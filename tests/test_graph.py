@@ -148,9 +148,8 @@ class TestQValuesBudget:
     @staticmethod
     def one_column_at_a_time(g):
         XU = g.features[g.unlabeled]
-        h = g.total_uncertainty()
         return np.concatenate(
-            [q_columns(XU, g.thetas, h, XU[c : c + 1]) for c in range(len(XU))]
+            [q_columns(XU, g.thetas, XU[c : c + 1]) for c in range(len(XU))]
         )
 
     @pytest.mark.parametrize("columns", [1, 7, None])  # None: the whole pool

@@ -29,7 +29,7 @@ from alregress import (
 )
 from alregress import experiment, validation
 
-from conftest import replay_trial, synthetic_dataset
+from conftest import openblas_cores, replay_trial, synthetic_dataset
 
 
 def small_config(dataset, strategies, **overrides):
@@ -68,6 +68,12 @@ class TestRegressionSpec:
         with pytest.raises(ValueError):
             RegressionSpec(kind="polynomial", degree=0)
 
+    def test_degree_must_be_an_integer(self):
+        for degree in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="degree must be an integer"):
+                RegressionSpec(kind="polynomial", degree=degree)
+        assert RegressionSpec(kind="polynomial", degree=np.int64(3)).degree == 3
+
 
 class TestExperimentConfig:
     def test_rejects_duplicate_strategies(self):
@@ -78,6 +84,14 @@ class TestExperimentConfig:
     def test_rejects_empty_strategies(self):
         with pytest.raises(ValueError):
             small_config(synthetic_dataset(0), [])
+
+    @pytest.mark.parametrize("field", ["trials", "rounds", "base_seed"])
+    def test_counts_must_be_integers(self, field):
+        ds = synthetic_dataset(0)
+        for value in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                small_config(ds, ["random"], **{field: value})
+        assert getattr(small_config(ds, ["random"], **{field: np.int64(2)}), field) == 2
 
 
 class TestModelSpace:
@@ -193,7 +207,7 @@ class TestBatchTrial:
             "0.06390184094374672",
             "0.06390184094374672",
             "0.06390184094374672",
-        ]
+        ], f"pinned on SkylakeX; OpenBLAS cores: {openblas_cores()}"
 
     def test_oversized_batch_rejected(self):
         strat = StrategyConfig(kind="ours_batch", batch_k=500)
@@ -248,20 +262,21 @@ class TestNoiseInteraction:
             oracle=OracleConfig(noise_kind="gaussian", noise_scale=0.1),
         )
         qbc, emcm = (run_trial(config, s, trial_seed=0) for s in config.strategies)
-        assert qbc.queried_indices == [0, 48, 80, 43, 55, 103]
+        kernel = f"pinned on SkylakeX; OpenBLAS cores: {openblas_cores()}"
+        assert qbc.queried_indices == [0, 48, 80, 43, 55, 103], kernel
         assert [repr(float(r)) for r in qbc.rmse_per_round] == [
             "2.0363146515632624",
             "0.2965001908940135",
             "1.3953819450978413",
             "0.17942195361079888",
-        ]
-        assert emcm.queried_indices == [0, 80, 43, 94, 103, 14]
+        ], kernel
+        assert emcm.queried_indices == [0, 80, 43, 94, 103, 14], kernel
         assert [repr(float(r)) for r in emcm.rmse_per_round] == [
             "2.0363146515632624",
             "2.3313956535806115",
             "0.47636300596816405",
             "0.08504019594627811",
-        ]
+        ], kernel
 
 
 def replay_all(config, report):

@@ -42,6 +42,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             StrategyConfig(kind="ours_batch", batch_k=0)
 
+    def test_batch_size_must_be_an_integer(self):
+        for k in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="batch_k must be an integer"):
+                StrategyConfig(kind="ours_batch", batch_k=k)
+        assert StrategyConfig(kind="ours_batch", batch_k=np.int64(3)).batch_k == 3
+
     def test_rejects_batch_size_on_other_kinds(self):
         for kind in ("ours_sequential", "random", "greedy", "qbc", "emcm"):
             with pytest.raises(ValueError, match="batch_k applies only to ours_batch"):

@@ -161,12 +161,12 @@ def _workloads():
 # select_ours_batch's chosen set, swap count and q_history from those picks
 _FULL_K_PINS = {
     0: (
-        "4cb957fc2946563867eb8c728e2ba9a70a6666b6a4050ffd0daa886ffcc983b2",
-        "709511f7815037df634303911437bd6611f561609a0cc32f5bc060d295bc59fb",
+        "58df9d64060091e0561169d1cd430443241d98c1a2f53796676720aaf2b1d9ca",
+        "97f68c0c8aed41454e1bf25323369de15377071ce9a0c4415ed638849d082149",
     ),
     1: (
-        "eb2ac2ecf9a46b9adc3054ba5484be28d22dd486d90b9995780db32980be45fc",
-        "a1fcfc081018bd2b332750d7cb90f874c86b7e2db3cc941fbfea8a19a92d8550",
+        "3e3ddf580e8cd141500be2c6ba339d05ee560fd01db67c5dffffc77f16a2e613",
+        "2ca364f073bf17685766b17814048353cd36b9c875198823bcbbd731156064bd",
     ),
 }
 
