@@ -47,6 +47,19 @@ def require_int(field: str, value) -> None:
         raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
+def require_nonnegative(field: str, value) -> None:
+    """Reject a config field that is not a finite real number >= 0: first
+    bools, which are numbers in Python, and non-numbers such as strings,
+    then negative and non-finite values. Ints and NumPy integers and floats
+    pass."""
+    if isinstance(value, bool) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise ValueError(f"{field} must be a real number, got {value!r}")
+    if not 0 <= value < np.inf:
+        raise ValueError(f"{field} must be finite and >= 0, got {value}")
+
+
 def round_half_up(x: float) -> int:
     """Nearest integer, halves rounding up; used for every fractional set size."""
     return int(math.floor(x + 0.5))

@@ -56,6 +56,7 @@ from .datasets import (
     load_dataset,
     make_split,
     require_int,
+    require_nonnegative,
     round_half_up,
     split_sizes,
 )
@@ -110,8 +111,8 @@ class RegressionSpec:
     def __post_init__(self):
         if self.kind not in REGRESSION_KINDS:
             raise ValueError(f"unknown regression kind {self.kind!r}")
-        if self.alpha is not None and not 0 <= self.alpha < np.inf:
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if self.alpha is not None:
+            require_nonnegative("alpha", self.alpha)
         require_int("degree", self.degree)
         if self.kind == "polynomial" and self.degree < 1:
             raise ValueError("polynomial degree must be >= 1")

@@ -188,9 +188,12 @@ class NNBipartiteGraph:
         same slice of ``dist``. Weights only shrink as points are committed,
         so no other pair can ever lower a row's weight: these pairs carry
         every term of q and of a swap gain, for this graph and every commit
-        of it. The list holds one entry per pair, 2% of pool x pool at the
-        whitewine stand-in; it holds every pair only when the labeled set
-        lies far from every pool point.
+        of it. They are the graph rules' only distances: min(thetas[j],
+        d(j, u)) is u's slice where it holds j and thetas[j] elsewhere, which
+        is how build_seed_set lowers its chain's weights and the batch
+        search writes its member columns. The list holds one entry per pair,
+        2% of pool x pool at the whitewine stand-in; it holds every pair
+        only when the labeled set lies far from every pool point.
 
         Built once per graph, from blocks of cdist candidate rows of at most
         _DIST_BUDGET distances, and kept until the graph goes; a commit

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import require_nonnegative
+
 # Label spreads below this are treated as zero spread (noise all but vanishes).
 _STD_FLOOR = 1e-12
 
@@ -26,10 +28,7 @@ class OracleConfig:
     def __post_init__(self):
         if self.noise_kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
-        if not 0 <= self.noise_scale < np.inf:
-            raise ValueError(
-                f"noise_scale must be finite and >= 0, got {self.noise_scale}"
-            )
+        require_nonnegative("noise_scale", self.noise_scale)
 
 
 class LabelOracle:

@@ -32,19 +32,23 @@ _openblas = None
 _openblas_lock = threading.Lock()
 
 
+def _openblas_libraries() -> list:
+    """(path, library) of every OpenBLAS mapped into this process, by path;
+    empty when there is none or no /proc/self/maps to read."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return []
+    return [(path, ctypes.CDLL(path)) for path in sorted(paths) if path.startswith("/")]
+
+
 def _openblas_thread_controls() -> list:
-    """The (get, set)_num_threads pairs of every OpenBLAS mapped into this
-    process; empty when there is none or no /proc/self/maps to read."""
+    """The (get, set)_num_threads pairs of every loaded OpenBLAS."""
     global _openblas
     if _openblas is None:
-        try:
-            with open("/proc/self/maps", encoding="utf-8") as fh:
-                paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-        except OSError:
-            paths = set()
         controls = []
-        for path in sorted(p for p in paths if p.startswith("/")):
-            lib = ctypes.CDLL(path)
+        for _, lib in _openblas_libraries():
             pair = (
                 _openblas_symbol(lib, "get_num_threads"),
                 _openblas_symbol(lib, "set_num_threads"),

@@ -146,16 +146,18 @@ def build_seed_set(graph: NNBipartiteGraph, k: int) -> tuple[np.ndarray, np.ndar
     one chain g_0 = graph, g_{i+1} = g_i.commit([picks[i]]), and
     ``drops[i]`` is H(g_i) - H(g_{i+1}), so ``drops[0]`` is bitwise
     q_single of ``picks[0]``. No g_i is built: the chain's weights are kept
-    at initial pool positions, each pick lowering them to the minimum with
-    its cdist column, as commit does, and H(g_{i+1}) is np.sum of the
-    remaining ones, the array commit's total sums. So the weights and drops
-    are commit's bits; the tests keep the commit chain as the reference.
+    at initial pool positions, and each pick p lowers them to their minimum
+    with d(j, p), as commit does, over p's own near pairs. A row j outside
+    them has d(j, p) >= theta_j >= its weight, which the minimum leaves
+    alone, and p's own row, at distance 0, falls to 0 or already is 0.
+    H(g_{i+1}) is np.sum of the remaining weights, the array commit's total
+    sums. So the weights and drops are commit's bits; the tests keep the
+    commit chain as the reference.
     """
     if not 1 <= k <= graph.unlabeled.size:
         raise ValueError(f"k={k} outside 1..{graph.unlabeled.size}")
     pool = graph.unlabeled
-    X = graph.features[pool]
-    pairs = graph.near_pairs()
+    pairs = ptr, rows, dist = graph.near_pairs()
     weights = graph.thetas.copy()  # g_i's weights at initial pool positions
     h = graph.total_uncertainty()
     bound = _sparse_scores(pairs, weights, np.arange(pool.size))
@@ -181,9 +183,9 @@ def build_seed_set(graph: NNBipartiteGraph, k: int) -> tuple[np.ndarray, np.ndar
         pos = int(np.flatnonzero(alive & fresh & (bound == best))[0])
         picks[i] = pool[pos]
         alive[pos] = False
-        # commit's weights: min(weight, distance to the pick), 0 at the pick
-        # itself, and a picked row's 0 stays 0
-        np.minimum(weights, cdist(X, X[pos : pos + 1], "cityblock")[:, 0], out=weights)
+        # commit's weights: min(weight, distance to the pick) over its pairs
+        near = rows[ptr[pos] : ptr[pos + 1]]
+        weights[near] = np.minimum(weights[near], dist[ptr[pos] : ptr[pos + 1]])
         after = float(np.sum(weights[alive]))  # commit's total_uncertainty
         drops[i] = h - after
         h = after
@@ -206,8 +208,9 @@ def select_ours_batch(
     The scan reads widening ranges of pool positions, each range's near
     pairs one slice of the list; positions that were members when the pass
     began are masked out. The swap gains come from _SwapSearch, which holds
-    no pool x pool array and drops, before anything else, the pairs that
-    add an exact +0.0 (see first_gain).
+    no pool x pool array, measures no distance of its own, and drops,
+    before anything else, the pairs that add an exact +0.0 (see
+    first_gain).
     ``chosen`` is the final set, ascending. ``q_history`` is q_set of the
     seed and of the set after each accepted swap, bitwise, and ``score`` is
     its last entry. A gain is the quantity a dense evaluation computes,
@@ -261,31 +264,34 @@ def select_ours_batch(
 class _SwapSearch:
     """Swap gains of a k-subset S of the pool, kept up to date across swaps.
 
-    Members sit in slots; ``cols`` holds each member's distance column (pool
-    x k). Per pool row j it keeps m1 and m2, the nearest and second-nearest
-    member distances (m2 = m1 on a tie), and ``owner``, the slot of m1.
-    Then cost_j = min(theta_j, m1) is j's weight under S and fallback_j =
-    min(theta_j, m2) its weight once its owner leaves. The gain of swapping
-    candidate u in for the member in slot l is exactly
+    Members sit in slots; ``cols`` (pool x k) holds each member l's column
+    min(theta_j, d(j, l)): theta, overwritten by l's slice of
+    graph.near_pairs, so the search measures no distance of its own. Per
+    pool row j it keeps ``cost``, the smallest entry of j's row, which is
+    j's weight under S (0 for a member); ``fallback``, the second smallest
+    (theta when k = 1), j's weight once its owner leaves; and ``owner``, the
+    slot of cost. The gain of swapping candidate u in for the member in
+    slot l is exactly
 
-        G(u) - loss[l] + C(u, l) + max(0, member_fallback[l] - d(l, u)),
+        G(u) - loss[l] + C(u, l),
 
-    where, over non-member rows j,
+    where, over every pool row j,
       G(u) = sum of max(0, cost_j - d(j, u)),
-      loss[l] = member_fallback[l] + sum of fallback_j - cost_j owned by l,
+      loss[l] = sum of fallback_j - cost_j over rows owned by l,
       C(u, l) = sum of fallback_j - max(d(j, u), cost_j) over rows owned by
-      l with d(j, u) < fallback_j,
-    and member_fallback[l] is l's own weight once it leaves. u's own row, at
-    distance 0, adds its weight cost_u to G and, when l owns it, takes its
-    term back out of loss[l] through C. G and C read only u's pairs in
-    graph.near_pairs, since cost and fallback never exceed theta; the graph
-    builds that list once, and build_seed_set on the same graph reads it
-    too. A tied row has fallback = cost, so it adds nothing to loss or C
-    whichever slot owns it.
+      l with d(j, u) < fallback_j.
+    A member row, at cost 0, adds nothing to G. l's own row, owned by l,
+    adds to loss[l] l's weight once it leaves, and C gives back the part of
+    it above d(l, u). u's own row, at distance 0, adds its weight cost_u to
+    G and, when l owns it, takes its term back out of loss[l] through C.
+    G and C read only u's pairs in graph.near_pairs, since fallback never
+    exceeds theta; the graph builds that list once, and build_seed_set on
+    the same graph reads it too. A tied row has fallback = cost, so it adds
+    nothing to loss or C whichever slot owns it: a row whose entries are
+    all theta, and a member row that another member duplicates.
     """
 
     def __init__(self, graph, seed_pos):
-        self.X = graph.features[graph.unlabeled]
         self.theta = graph.thetas
         self.h = graph.total_uncertainty()
         self.ptr, self.rows, self.dist = graph.near_pairs()
@@ -294,36 +300,41 @@ class _SwapSearch:
         self.members = seed_pos.copy()
         self.in_set = np.zeros(n, dtype=bool)
         self.in_set[seed_pos] = True
-        self.cols = cdist(self.X, self.X[seed_pos], "cityblock")
-        self.m1 = np.empty(n)
-        self.m2 = np.empty(n)
+        self.cols = np.empty((n, k))
+        for slot, p in enumerate(seed_pos):
+            self._fill(slot, p)
+        self.cost = np.empty(n)
+        self.fallback = np.empty(n)
         self.owner = np.empty(n, dtype=np.int64)
         self._rank(np.arange(n))
         self._derive()
 
+    def _fill(self, slot, p):
+        """Write pool position p's column into ``slot``: theta, overwritten
+        by p's near pairs, which are exactly the rows with d(j, p) < theta_j."""
+        lo, hi = self.ptr[p], self.ptr[p + 1]
+        self.cols[:, slot] = self.theta
+        self.cols[self.rows[lo:hi], slot] = self.dist[lo:hi]
+
     def _rank(self, rows):
-        """Recompute m1, m2 and owner of ``rows`` from the member columns."""
+        """Recompute cost, fallback and owner of ``rows`` from the member
+        columns: owner is the first slot of the smallest entry."""
         step = max(1, _SWAP_BLOCK // self.k)
         for start in range(0, rows.size, step):
             r = rows[start : start + step]
             cols = self.cols[r]
             pos = cols.argmin(axis=1)
             self.owner[r] = pos
-            self.m1[r] = cols[np.arange(r.size), pos]
-            self.m2[r] = np.partition(cols, 1, axis=1)[:, 1] if self.k > 1 else np.inf
+            self.cost[r] = cols[np.arange(r.size), pos]
+            if self.k > 1:
+                self.fallback[r] = np.partition(cols, 1, axis=1)[:, 1]
+            else:
+                self.fallback[r] = self.theta[r]
 
     def _derive(self):
-        """cost, fallback and the per-slot loss from m1, m2 and owner."""
-        self.cost = np.minimum(self.theta, self.m1)
-        self.fallback = np.minimum(self.theta, self.m2)
-        out = ~self.in_set
-        # a pair counts toward a gain only below its row's reach
-        self.reach = np.where(out, self.fallback, -np.inf)
-        self.member_fallback = self.fallback[self.members]
-        self.loss = self.member_fallback + np.bincount(
-            self.owner[out],
-            weights=(self.fallback - self.cost)[out],
-            minlength=self.k,
+        """The per-slot loss from cost, fallback and owner."""
+        self.loss = np.bincount(
+            self.owner, weights=self.fallback - self.cost, minlength=self.k
         )
 
     def q_set(self) -> float:
@@ -337,13 +348,13 @@ class _SwapSearch:
         slot of the smallest member index with such a gain; or None.
 
         The range's pairs are one slice of the near-pair list. A pair with
-        d >= fallback_j, or with a member row j, is dropped before anything
-        else is read: it adds max(0, cost_j - d) = +0.0 to G, which leaves
-        a non-negative sum's bits alone, and nothing to C.
+        d >= fallback_j is dropped before anything else is read: it adds
+        max(0, cost_j - d) = +0.0 to G, which leaves a non-negative sum's
+        bits alone, and nothing to C.
         """
         lo = self.ptr[a]
         j, d = self.rows[lo : self.ptr[b]], self.dist[lo : self.ptr[b]]
-        keep = np.flatnonzero(d < self.reach[j])
+        keep = np.flatnonzero(d < self.fallback[j])
         at = np.searchsorted(self.ptr[a + 1 : b + 1], lo + keep, side="right")
         j, d = j[keep], d[keep]
         cost, fallback = self.cost[j], self.fallback[j]
@@ -354,7 +365,6 @@ class _SwapSearch:
             minlength=(b - a) * self.k,
         ).reshape(b - a, self.k)
         gain = g[:, None] - self.loss + c
-        gain += np.maximum(self.member_fallback - self.cols[a:b], 0.0)
         hits = (gain > SWAP_TOL) & candidate[:, None]
         found = np.flatnonzero(hits.any(axis=1))
         if found.size == 0:
@@ -366,22 +376,31 @@ class _SwapSearch:
     def swap(self, slot, u):
         """Replace the member in ``slot`` by pool position ``u``.
 
-        Only rows whose m1 or m2 was the leaving member are ranked again from
-        the member columns; every other row just takes the new member's
-        distance into its m1 and m2.
+        The leaving column is below theta only on the leaving member's near
+        rows. The rows it owned, and the near rows where its entry is at most
+        the fallback (it may be their second smallest), are ranked again from
+        the member columns. Every other row held theta, or an entry above its
+        fallback, in the slot, so losing it moves neither cost nor fallback.
+        The new column is below theta only on u's near rows, which take
+        its distance into their cost and fallback.
         """
-        old = self.cols[:, slot].copy()
-        new = cdist(self.X, self.X[u : u + 1], "cityblock")[:, 0]
-        redo = np.flatnonzero((self.owner == slot) | (old <= self.m2))
-        self.cols[:, slot] = new
-        self.in_set[self.members[slot]] = False
+        leaving = self.members[slot]
+        lo, hi = self.ptr[leaving], self.ptr[leaving + 1]
+        redo = self.owner == slot
+        near = self.rows[lo:hi]
+        redo[near[self.dist[lo:hi] <= self.fallback[near]]] = True
+        self._fill(slot, u)
+        self.in_set[leaving] = False
         self.in_set[u] = True
         self.members[slot] = u
-        beats = new < self.m1
-        self.m2 = np.where(beats, self.m1, np.minimum(self.m2, new))
-        self.owner[beats] = slot
-        np.minimum(self.m1, new, out=self.m1)
-        self._rank(redo)
+        lo, hi = self.ptr[u], self.ptr[u + 1]
+        j, d = self.rows[lo:hi], self.dist[lo:hi]
+        cost = self.cost[j]
+        beats = d < cost
+        self.fallback[j] = np.where(beats, cost, np.minimum(self.fallback[j], d))
+        self.owner[j[beats]] = slot
+        self.cost[j] = np.minimum(cost, d)
+        self._rank(np.flatnonzero(redo))
         self._derive()
 
 

@@ -1,14 +1,17 @@
 """Shared fixtures: the 1-D toy graph, random, clustered and integer-grid
-instances, the slow references for lazy greedy, the greedy max-min-distance
-walk, the swap search, rebuilds and least squares, the replay of a harness
-trial on a graph, benchmark data discovery, and the OpenBLAS kernel the run
-uses, named in the report header.
+instances, the graph-whitewine benchmark stand-in's graph, the slow
+references for lazy greedy, the greedy max-min-distance walk, the swap
+search, rebuilds and least squares with the checks that hold the fast paths
+to them, the replay of a harness trial on a graph, benchmark data
+discovery, and the OpenBLAS kernel the run uses, named in the report header.
 
 ``random_graph`` is the library's ``validation.random_instance``, so the
 unit tests and ``al-regress validate`` draw instances the same way."""
 
 import ctypes
+import importlib.util
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +23,15 @@ from scipy.spatial.distance import cdist
 from alregress import (
     Dataset,
     NNBipartiteGraph,
+    RegressionSpec,
     build_model_space,
+    build_seed_set,
+    greedy_order,
     make_split,
     select_greedy,
+    select_ours_batch,
 )
-from alregress.regression import FLOOR_ALPHA, _openblas_symbol
+from alregress.regression import FLOOR_ALPHA, _openblas_libraries, _openblas_symbol
 from alregress.strategies import SWAP_TOL
 from alregress.validation import check_commit, check_graph
 from alregress.validation import random_instance as random_graph  # noqa: F401
@@ -43,21 +50,16 @@ BENCH_FILES = {
 
 
 def openblas_cores() -> str:
-    """"library: core" for every OpenBLAS mapped into this process, the core
-    read from its openblas_get_corename, looked up under the names that
-    regression looks the thread controls up under.
+    """"library: core" for every OpenBLAS that regression finds mapped into
+    this process, the core read from its openblas_get_corename, looked up
+    under the names that regression looks the thread controls up under.
 
     Pinned lstsq and GEMM bytes hold on one kernel (AVX-512 SkylakeX) and
     not on the AVX2 ones, so the header and the failure messages of the
     BLAS-derived pins name it."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    except OSError:
-        paths = set()
     cores = []
-    for path in sorted(p for p in paths if p.startswith("/")):
-        corename = _openblas_symbol(ctypes.CDLL(path), "get_corename")
+    for path, lib in _openblas_libraries():
+        corename = _openblas_symbol(lib, "get_corename")
         if corename is not None:
             corename.argtypes, corename.restype = [], ctypes.c_char_p
             cores.append(f"{Path(path).name}: {corename().decode()}")
@@ -151,16 +153,50 @@ def clustered_graph(seed=7, n=2040, d=6, n_labeled=40):
     return NNBipartiteGraph.build(perm[:n_labeled], perm[n_labeled:], X)
 
 
+def whitewine_stand_in_graph(split_seed):
+    """The initial graph of a graph-whitewine benchmark trial at split seed
+    ``split_seed``: perfbench/workloads.py's stand-in data (4,898 x 11,
+    generated at seed 0), linear features, a 3,380-point pool."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py"
+    )
+    wl = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = wl  # dataclasses look their module up here
+    spec.loader.exec_module(wl)  # perfbench is no package
+    workload = wl.WORKLOADS["graph-whitewine"]
+    # the benchmark writes these floats as repr and loads them back exactly
+    X, y = wl.stand_in(workload, 0)
+    space = build_model_space(
+        Dataset(features=X, targets=y, name=workload.name),
+        RegressionSpec(kind="linear"),
+    )
+    split = make_split(space.n, split_seed)
+    return NNBipartiteGraph.build(split.initial_labeled, split.unlabeled_pool,
+                                  space.features)
+
+
 def eager_seed_set(graph, k):
     """Slow reference for build_seed_set: a full q_values scan per pick,
-    argmax (first max, so ties go to the smallest index), then commit."""
+    argmax (first max, so ties go to the smallest index), then commit.
+    Returns ``(picks, drops)``, each drop the pick's commit's fall in H."""
     g = graph
     picks = np.empty(k, dtype=np.int64)
+    drops = np.empty(k, dtype=np.float64)
     for i in range(k):
         u = int(g.unlabeled[int(np.argmax(g.q_values()))])
-        picks[i] = u
-        g = g.commit(np.asarray([u]))
-    return picks
+        after = g.commit(np.asarray([u]))
+        picks[i], drops[i] = u, g.total_uncertainty() - after.total_uncertainty()
+        g = after
+    return picks, drops
+
+
+def assert_lazy_is_eager(graph, k):
+    """build_seed_set(graph, k) equals eager_seed_set: the same picks and
+    the same drop bits."""
+    picks, drops = build_seed_set(graph, k)
+    want_picks, want_drops = eager_seed_set(graph, k)
+    np.testing.assert_array_equal(picks, want_picks)
+    assert drops.tobytes() == want_drops.tobytes()
 
 
 def greedy_scan(features, labeled, unlabeled):
@@ -170,6 +206,31 @@ def greedy_scan(features, labeled, unlabeled):
     dmin = cdist(features[unlabeled], features[labeled], "euclidean").min(axis=1)
     pos = int(np.argmax(dmin))
     return int(unlabeled[pos]), float(dmin[pos])
+
+
+def assert_matches_dense(graph, seed):
+    """select_ours_batch from ``seed`` (dataset indices) equals
+    dense_local_search in chosen set, swap count and q_history, bitwise.
+    Returns the trace."""
+    trace = select_ours_batch(graph, seed.size, seed_set=seed)
+    S, q_hist, swaps = dense_local_search(graph, graph._subset_positions(seed))
+    np.testing.assert_array_equal(trace.chosen, graph.unlabeled[S])
+    assert trace.swaps_performed == swaps
+    assert trace.q_history == tuple(q_hist)
+    assert trace.score == q_hist[-1]
+    return trace
+
+
+def assert_greedy_is_fresh_scans(features, labeled, unlabeled, n):
+    """greedy_order's n picks and score bits equal greedy_scan's on the sets
+    each step has reached. Returns greedy_order's ``(picks, scores)``."""
+    picks, scores = greedy_order(features, labeled, unlabeled, n)
+    for i in range(n):
+        u, score = greedy_scan(features, labeled, unlabeled)
+        assert picks[i] == u, f"greedy step {i}"
+        assert scores[i].tobytes() == np.float64(score).tobytes(), f"greedy step {i}"
+        labeled, unlabeled = np.append(labeled, u), unlabeled[unlabeled != u]
+    return picks, scores
 
 
 def dense_local_search(graph, seed_pos):

@@ -1,0 +1,48 @@
+"""The graph rules and greedy against their slow references at full size.
+
+Everywhere else the fast paths meet their references on small instances.
+Here they meet them on the protocol's full sizes: the graph-whitewine
+benchmark stand-in (a 3,380-point pool) at split seeds 0 and 1, with the
+batch at k = 676 and a greedy trial's 680 picks. The references take
+minutes (about 4 in all on 2 vCPUs), so the test runs only when
+ALREGRESS_FULL_REFERENCES is set:
+
+    ALREGRESS_FULL_REFERENCES=1 PYTHONPATH=src python -m pytest -q \\
+        tests/test_full_size_references.py
+"""
+
+import os
+
+import pytest
+
+from alregress import build_seed_set
+
+from conftest import (
+    assert_greedy_is_fresh_scans,
+    assert_lazy_is_eager,
+    assert_matches_dense,
+    whitewine_stand_in_graph,
+)
+
+# an ours_batch trial's k: 20% of the pool, rounded half up
+FULL_K = 676
+# a greedy trial's labels: 10 rounds of ceil(2% of the pool)
+GREEDY_PICKS = 680
+
+
+@pytest.mark.skipif(
+    not os.environ.get("ALREGRESS_FULL_REFERENCES"),
+    reason="set ALREGRESS_FULL_REFERENCES=1 to check build_seed_set, "
+    "select_ours_batch and greedy_order against their slow references at "
+    "full size (about 4 minutes)",
+)
+def test_slow_references_at_full_size():
+    for split_seed in (0, 1):  # in one test, so that the skip counts once
+        g = whitewine_stand_in_graph(split_seed)
+        assert g.unlabeled.size == 3380
+        # the eager q_values chain: the same picks and drop bits
+        assert_lazy_is_eager(g, FULL_K)
+        # the dense search from the same seed: set, swap count, q_history bits
+        assert_matches_dense(g, build_seed_set(g, FULL_K)[0])
+        # a fresh greedy scan of the sets each step has reached
+        assert_greedy_is_fresh_scans(g.features, g.labeled, g.unlabeled, GREEDY_PICKS)

@@ -65,6 +65,13 @@ class TestRegressionSpec:
         for alpha in (np.inf, np.nan):
             with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
                 RegressionSpec(kind="ridge", alpha=alpha)
+        # bools are numbers in Python, and "1" used to fail late, in a
+        # comparison, with a TypeError that did not name the field
+        for alpha in (True, False, "1", np.bool_(True), [1.0]):
+            with pytest.raises(ValueError, match="alpha must be a real number"):
+                RegressionSpec(kind="ridge", alpha=alpha)
+        for alpha in (2, np.int64(2), np.float32(2.0), np.float64(2.0)):
+            assert RegressionSpec(kind="ridge", alpha=alpha).resolved_alpha() == 2.0
         with pytest.raises(ValueError):
             RegressionSpec(kind="polynomial", degree=0)
 

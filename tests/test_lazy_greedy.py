@@ -37,6 +37,7 @@ from alregress.strategies import _sparse_scores
 
 from conftest import (
     REPO_ROOT,
+    assert_lazy_is_eager,
     clustered_graph,
     demo05_dataset,
     eager_seed_set,
@@ -51,7 +52,7 @@ class TestLazyEqualsEager:
     @settings(max_examples=200, deadline=None)
     def test_picks_match_eager_scan(self, g, data):
         k = data.draw(st.integers(1, g.unlabeled.size))
-        np.testing.assert_array_equal(build_seed_set(g, k)[0], eager_seed_set(g, k))
+        assert_lazy_is_eager(g, k)
 
     def test_whole_pool_on_random_features(self):
         rng = np.random.default_rng(61)
@@ -61,7 +62,7 @@ class TestLazyEqualsEager:
             perm = rng.permutation(n)
             g = NNBipartiteGraph.build(perm[:2], perm[2:], X)
             k = g.unlabeled.size
-            np.testing.assert_array_equal(build_seed_set(g, k)[0], eager_seed_set(g, k))
+            assert_lazy_is_eager(g, k)
 
     def test_whole_pool_on_decimal_grid(self):
         # On a 0.1-step grid, q values that tie in exact arithmetic can
@@ -74,7 +75,7 @@ class TestLazyEqualsEager:
             perm = rng.permutation(n)
             g = NNBipartiteGraph.build(perm[:2], perm[2:], X)
             k = g.unlabeled.size
-            np.testing.assert_array_equal(build_seed_set(g, k)[0], eager_seed_set(g, k))
+            assert_lazy_is_eager(g, k)
 
     @given(g=grid_graphs(), data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -155,7 +156,7 @@ class TestContenders:
         g = NNBipartiteGraph.build(np.arange(3), np.arange(3, 1203), X)
         q = g.q_values()
         assert np.count_nonzero(q == q.max()) > 300
-        np.testing.assert_array_equal(build_seed_set(g, 3)[0], eager_seed_set(g, 3))
+        assert_lazy_is_eager(g, 3)
 
 
 def test_seed_set_holds_no_pool_by_pool_array():
@@ -235,7 +236,7 @@ class TestHarnessOrder:
         split = make_split(space.n, 2)
         g = NNBipartiteGraph.build(split.initial_labeled, split.unlabeled_pool,
                                    space.features)
-        order = eager_seed_set(g, len(result.queried_indices))
+        order = eager_seed_set(g, len(result.queried_indices))[0]
         assert result.queried_indices == order.tolist()
         for u, score in zip(order, result.query_scores):
             assert score == g.q_single(int(u))  # bitwise

@@ -27,6 +27,16 @@ class TestConfig:
             with pytest.raises(ValueError, match="noise_scale must be finite and >= 0"):
                 OracleConfig(noise_kind="gaussian", noise_scale=scale)
 
+    def test_rejects_bools_and_non_numbers(self):
+        for scale in (True, False, "0.1", np.bool_(False), None):
+            with pytest.raises(ValueError, match="noise_scale must be a real number"):
+                OracleConfig(noise_kind="gaussian", noise_scale=scale)
+
+    def test_accepts_ints_and_numpy_floats(self):
+        for scale in (0, 1, np.int64(1), np.float32(0.5), np.float64(0.25)):
+            cfg = OracleConfig(noise_kind="gaussian", noise_scale=scale)
+            assert cfg.noise_scale == scale
+
 
 class TestExact:
     def test_returns_truth_and_counts(self):

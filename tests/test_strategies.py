@@ -26,7 +26,7 @@ from alregress import (
 )
 from alregress.strategies import COMMITTEE_SIZE
 
-from conftest import greedy_scan, grid_graphs, random_graph
+from conftest import assert_greedy_is_fresh_scans, grid_graphs, random_graph
 
 
 class TestConfig:
@@ -215,13 +215,7 @@ class TestGreedy:
         # the walk is bitwise a fresh scan of the sets it has reached, and
         # every shorter order is a prefix of the full one
         X, L, U = g.features, g.labeled, g.unlabeled
-        picks, scores = greedy_order(X, L, U, U.size)
-        labeled, pool = L, U
-        for i in range(U.size):
-            u, score = greedy_scan(X, labeled, pool)
-            assert picks[i] == u
-            assert scores[i].tobytes() == np.float64(score).tobytes()
-            labeled, pool = np.append(labeled, u), pool[pool != u]
+        picks, scores = assert_greedy_is_fresh_scans(X, L, U, U.size)
         for n in range(1, U.size):
             short_picks, short_scores = greedy_order(X, L, U, n)
             assert short_picks.tobytes() == picks[:n].tobytes()

@@ -1,53 +1,36 @@
 """The batch rule's sparse swap search against the dense reference.
 
-select_ours_batch scores swaps from near pairs and pool x k member columns,
-and updates its nearest/second-nearest state only where a swap can change
-it. conftest.dense_local_search is the search it replaced: a pool x pool
+select_ours_batch scores swaps from the graph's near pairs and pool x k
+member columns min(theta, d), which it writes from those same pairs, and
+updates a row's cost and fallback only where a swap can change them.
+conftest.dense_local_search is the search it replaced: a pool x pool
 matrix and a full state rebuild per swap. On integer-grid features every
 gain is an exact float sum, so the two must agree on every decision: the
 same set, the same swap count and the same q_history bits. On continuous
 features they agree unless a gain lies within summation error of SWAP_TOL,
-which the seeded sweep below does not meet.
+which the seeded sweep below does not meet. Once the near pairs are built,
+neither the search nor its build_seed_set seed measures a distance.
 """
 
 import hashlib
-import importlib.util
-import sys
+import importlib
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
-from alregress import (
-    Dataset,
-    NNBipartiteGraph,
-    RegressionSpec,
-    build_model_space,
-    build_seed_set,
-    make_split,
-    select_ours_batch,
-)
+from alregress import NNBipartiteGraph, build_seed_set, select_ours_batch
 
 from conftest import (
-    REPO_ROOT,
+    assert_matches_dense,
     clustered_graph,
-    dense_local_search,
     grid_graphs,
     random_graph,
+    whitewine_stand_in_graph,
 )
-
-
-def assert_matches_dense(g, seed):
-    """select_ours_batch from ``seed`` (dataset indices) equals the dense
-    reference in chosen set, swap count and q_history, bitwise."""
-    trace = select_ours_batch(g, seed.size, seed_set=seed)
-    S, q_hist, swaps = dense_local_search(g, g._subset_positions(seed))
-    np.testing.assert_array_equal(trace.chosen, g.unlabeled[S])
-    assert trace.swaps_performed == swaps
-    assert trace.q_history == tuple(q_hist)
-    assert trace.score == q_hist[-1]
 
 
 def draw_k(data, pool):
@@ -128,6 +111,47 @@ class TestEqualsDenseOnContinuous:
             assert_matches_dense(g, rng.choice(g.unlabeled, size=k, replace=False))
 
 
+class TestDegenerateMembers:
+    """Member rows at their edges, on a line where every gain is exact: a
+    member at distance 0 from the labeled set (theta = 0), two members at
+    one point, and a single member (fallback theta everywhere)."""
+
+    X = np.array([0, 30, 0, 10, 10, 12, 14, 8, 20, 22, 18, 45, 47], float)[:, None]
+
+    @pytest.mark.parametrize(
+        "seed", [[2, 3, 4], [3, 4], [2, 3], [2], [3], [12], [2, 3, 4, 11, 12]]
+    )
+    def test_matches_dense(self, seed):
+        g = NNBipartiteGraph.build([0, 1], np.arange(2, 13), self.X)
+        assert g.theta(2) == 0.0
+        trace = assert_matches_dense(g, np.asarray(seed))
+        assert trace.swaps_performed > 0
+
+
+def test_graph_rules_measure_no_distance(monkeypatch):
+    """Once the graph holds its near-pair list, build_seed_set and the swap
+    search read every distance from it: cdist, which graph's references
+    (commit, q_columns) and greedy_order call, is never called, and the
+    features are never read."""
+    g = clustered_graph(n=640)
+    g.near_pairs()
+    g.features = None
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((np.shape(args[0]), np.shape(args[1])))
+        return cdist(*args, **kwargs)
+
+    for name in ("alregress.strategies", "alregress.graph"):
+        monkeypatch.setattr(importlib.import_module(name), "cdist", spy)
+    rng = np.random.default_rng(5)
+    build_seed_set(g, 30)
+    swapped = select_ours_batch(g, 30, rng.choice(g.unlabeled, 30, replace=False))
+    seeded = select_ours_batch(g, 30)
+    assert swapped.swaps_performed > 0 and seeded.swaps_performed > 0
+    assert calls == []
+
+
 def test_batch_holds_no_pool_by_pool_array():
     """Peak traced allocation of a 2,000-point batch, its build_seed_set
     seed included, stays under a quarter of one pool x pool float64 matrix,
@@ -144,17 +168,6 @@ def test_batch_holds_no_pool_by_pool_array():
         tracemalloc.stop()
     assert trace.swaps_performed > 0
     assert peak < pool * pool * 8 / 4, f"peak {peak} bytes at pool {pool}"
-
-
-def _workloads():
-    """perfbench/workloads.py, loaded by path (perfbench is no package)."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
 
 
 # split seed -> SHA-256 of build_seed_set(g, 676)'s picks and drops, and of
@@ -177,17 +190,7 @@ def test_full_k_whitewine_stand_in_is_pinned(split_seed):
     graph-whitewine stand-in, a regime the benchmark, which stops at
     k = 68, never reaches: the chain's picks and drop bits and the search's
     set, swap count and q_history bits stay those pinned. About 2 s each."""
-    wl = _workloads()
-    workload = wl.WORKLOADS["graph-whitewine"]
-    # the benchmark writes these floats as repr and loads them back exactly
-    X, y = wl.stand_in(workload, 0)
-    space = build_model_space(
-        Dataset(features=X, targets=y, name=workload.name),
-        RegressionSpec(kind="linear"),
-    )
-    split = make_split(space.n, split_seed)
-    g = NNBipartiteGraph.build(split.initial_labeled, split.unlabeled_pool,
-                               space.features)
+    g = whitewine_stand_in_graph(split_seed)
     assert g.unlabeled.size == 3380
     picks, drops = build_seed_set(g, 676)
     trace = select_ours_batch(g, 676, seed_set=picks)
