@@ -19,13 +19,7 @@ from .datasets import (
     make_split,
     round_half_up,
 )
-from .exhaustive import (
-    ModificationInstance,
-    best_subset_by_q,
-    min_total_after,
-    mmmd_decide,
-    mmtd_decide,
-)
+from .exhaustive import best_subset_by_q, min_total_after, mmmd_decide, mmtd_decide
 from .experiment import (
     ExperimentConfig,
     ExperimentReport,
@@ -70,7 +64,6 @@ __all__ = [
     "FitDiagnostics",
     "LabelOracle",
     "LinearModel",
-    "ModificationInstance",
     "NNBipartiteGraph",
     "OracleConfig",
     "RegressionSpec",

@@ -15,41 +15,29 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .graph import NNBipartiteGraph
 
-# Enumeration guards: refuse pools/subset counts past these.
+# Enumeration limits: every solver's _guard refuses pools and subset counts
+# past these.
 MAX_POOL = 20
 MAX_SUBSETS = 200_000
 
 
-@dataclass(frozen=True)
-class ModificationInstance:
-    """A graph plus the decision-problem parameters k, beta, sigma."""
-
-    graph: NNBipartiteGraph
-    k: int
-    beta: float = 0.0
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.graph.unlabeled.size:
-            raise ValueError(
-                f"k={self.k} outside 1..{self.graph.unlabeled.size}"
-            )
-
-
-def _guard(n_pool: int, k: int) -> None:
-    if n_pool > MAX_POOL:
-        raise ValueError(f"pool of {n_pool} exceeds enumeration limit {MAX_POOL}")
-    if math.comb(n_pool, k) > MAX_SUBSETS:
+def _guard(graph: NNBipartiteGraph, k: int) -> None:
+    """Raise ValueError for a k outside 1..|pool|, a pool past MAX_POOL or
+    C(|pool|, k) past MAX_SUBSETS; all four solvers call it first."""
+    n = graph.unlabeled.size
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} outside 1..{n}")
+    if n > MAX_POOL:
+        raise ValueError(f"pool of {n} exceeds enumeration limit {MAX_POOL}")
+    if math.comb(n, k) > MAX_SUBSETS:
         raise ValueError(
-            f"C({n_pool},{k}) = {math.comb(n_pool, k)} exceeds subset limit "
-            f"{MAX_SUBSETS}"
+            f"C({n},{k}) = {math.comb(n, k)} exceeds subset limit {MAX_SUBSETS}"
         )
 
 
@@ -76,12 +64,8 @@ def best_subset_by_q(graph: NNBipartiteGraph, k: int) -> tuple[np.ndarray, float
     """Exact argmax of q_set over all subsets of size exactly k.
 
     Ties keep the lexicographically smallest subset (the enumeration order).
-    Guarded by MAX_POOL / MAX_SUBSETS.
     """
-    nU = graph.unlabeled.size
-    if not 1 <= k <= nU:
-        raise ValueError(f"k={k} outside 1..{nU}")
-    _guard(nU, k)
+    _guard(graph, k)
     h = graph.total_uncertainty()
     best_subset, best_q = None, -np.inf
     for subset, weights in _weights_after(graph, [k]):
@@ -98,32 +82,27 @@ def min_total_after(graph: NNBipartiteGraph, k: int) -> float:
     The counterpart of best_subset_by_q: maximizing the reduction is the same
     enumeration as minimizing what remains.
     """
-    nU = graph.unlabeled.size
-    if not 1 <= k <= nU:
-        raise ValueError(f"k={k} outside 1..{nU}")
-    _guard(nU, k)
+    _guard(graph, k)
     return min(float(np.sum(weights)) for _, weights in _weights_after(graph, [k]))
 
 
-def mmtd_decide(instance: ModificationInstance) -> bool:
+def mmtd_decide(graph: NNBipartiteGraph, k: int, sigma: float) -> bool:
     """Is there a subset of 1..k moves leaving total edge weight <= sigma?"""
-    graph = instance.graph
-    _guard(graph.unlabeled.size, instance.k)
+    _guard(graph, k)
     return any(
-        float(np.sum(weights)) <= instance.sigma
-        for _, weights in _weights_after(graph, range(1, instance.k + 1))
+        float(np.sum(weights)) <= sigma
+        for _, weights in _weights_after(graph, range(1, k + 1))
     )
 
 
-def mmmd_decide(instance: ModificationInstance) -> bool:
+def mmmd_decide(graph: NNBipartiteGraph, k: int, beta: float) -> bool:
     """Is there a subset of 1..k moves leaving every edge weight <= beta?
 
     Moving the whole pool leaves no edges, so beta >= 0 with k = |U| is
     always satisfiable.
     """
-    graph = instance.graph
-    _guard(graph.unlabeled.size, instance.k)
+    _guard(graph, k)
     return any(
-        weights.max(initial=0.0) <= instance.beta
-        for _, weights in _weights_after(graph, range(1, instance.k + 1))
+        weights.max(initial=0.0) <= beta
+        for _, weights in _weights_after(graph, range(1, k + 1))
     )

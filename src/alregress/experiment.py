@@ -446,41 +446,31 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         for result in results:
             trials[result.strategy].append(result)
 
-    mean_rmse: dict[str, np.ndarray] = {}
-    std_rmse: dict[str, np.ndarray] = {}
-    for kind, results in trials.items():
-        stacked = np.stack([r.rmse_per_round for r in results])
-        mean_rmse[kind] = stacked.mean(axis=0)
-        std_rmse[kind] = stacked.std(axis=0)
-
+    # trials x (rounds + 1) RMSEs per strategy
+    curves = {
+        kind: np.stack([r.rmse_per_round for r in results])
+        for kind, results in trials.items()
+    }
     ranked = config.strategies[0].kind
     checkpoints = _checkpoint_rounds(config)
     ranking: dict[int, tuple[int, int, int]] = {}
     for pct, rnd in checkpoints.items():
-        first = second = others = 0
-        for t in range(config.trials):
-            mine = trials[ranked][t].rmse_per_round[rnd]
-            better = sum(
-                1
-                for kind in trials
-                if kind != ranked and trials[kind][t].rmse_per_round[rnd] < mine
-            )
-            rank = 1 + better  # ties share the better rank
-            if rank == 1:
-                first += 1
-            elif rank == 2:
-                second += 1
-            else:
-                others += 1
-        ranking[pct] = (first, second, others)
+        mine = curves[ranked][:, rnd]
+        better = np.zeros(config.trials, dtype=np.int64)
+        for kind, stacked in curves.items():
+            if kind != ranked:
+                better += stacked[:, rnd] < mine
+        # rank 1 + better; ties share the better rank
+        first, second = int(np.sum(better == 0)), int(np.sum(better == 1))
+        ranking[pct] = (first, second, config.trials - first - second)
 
     return ExperimentReport(
         dataset=space.name,
         strategies=tuple(s.kind for s in config.strategies),
         rounds=config.rounds,
         ranked_strategy=ranked,
-        mean_rmse=mean_rmse,
-        std_rmse=std_rmse,
+        mean_rmse={kind: stacked.mean(axis=0) for kind, stacked in curves.items()},
+        std_rmse={kind: stacked.std(axis=0) for kind, stacked in curves.items()},
         ranking_counts=ranking,
         checkpoint_rounds=checkpoints,
         trials=trials,

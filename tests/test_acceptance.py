@@ -82,14 +82,14 @@ def test_criterion_01_toy_single_pick():
 
 
 def test_criterion_02_prediction_shift_bound():
-    # 10,000 raw draws across dimensions 1..20 plus 50 through check_bound
+    # 10,000 draws across dimensions 1..20, every one through check_bound
     start = time.perf_counter()
     violations = bound_violations(np.random.default_rng(22), 10_000)
     elapsed = time.perf_counter() - start
     ok = violations == 0 and elapsed < 1.0
     record_criterion(
         2, "PASS" if ok else "FAIL",
-        f"{violations} violations in 10050 draws, {elapsed:.2f}s",
+        f"{violations} violations in 10000 draws, {elapsed:.2f}s",
     )
     assert violations == 0
     assert elapsed < 1.0, f"bound check took {elapsed:.2f}s, budget 1s"

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alregress import (
-    ModificationInstance,
     NNBipartiteGraph,
     best_subset_by_q,
     min_total_after,
@@ -75,18 +74,6 @@ class TestBestSubset:
                 _, best_q = best_subset_by_q(g, k)
                 assert best_q == g.total_uncertainty() - min_total_after(g, k)
 
-    def test_pool_guard(self):
-        X = np.random.default_rng(0).normal(size=(MAX_POOL + 3, 2))
-        g = NNBipartiteGraph.build([0, 1], np.arange(2, MAX_POOL + 3), X)
-        with pytest.raises(ValueError, match="enumeration limit"):
-            best_subset_by_q(g, 2)
-
-    def test_k_out_of_range(self, toy_graph):
-        with pytest.raises(ValueError):
-            best_subset_by_q(toy_graph, 0)
-        with pytest.raises(ValueError):
-            best_subset_by_q(toy_graph, 5)
-
 
 def test_optimum_catches_weights_off_commit(toy_graph, monkeypatch):
     # Weights a few roundings above commit's: the duality and mmtd_decide
@@ -115,44 +102,58 @@ class TestMinTotal:
         assert totals == sorted(totals, reverse=True)
 
 
-class TestInstance:
-    def test_k_validation(self, toy_graph):
-        with pytest.raises(ValueError):
-            ModificationInstance(graph=toy_graph, k=0)
-        with pytest.raises(ValueError):
-            ModificationInstance(graph=toy_graph, k=5)
+class TestGuard:
+    """One guard serves all four solvers: the same error for the same k."""
+
+    SOLVERS = (
+        best_subset_by_q,
+        min_total_after,
+        lambda g, k: mmtd_decide(g, k, 1.0),
+        lambda g, k: mmmd_decide(g, k, 1.0),
+    )
+
+    @pytest.mark.parametrize("k", [0, -1, 5])
+    def test_k_out_of_range_is_one_error(self, toy_graph, k):
+        for solve in self.SOLVERS:
+            with pytest.raises(ValueError, match=rf"^k={k} outside 1\.\.4$"):
+                solve(toy_graph, k)
+
+    def test_pool_limit_is_one_error(self):
+        X = np.random.default_rng(0).normal(size=(MAX_POOL + 3, 2))
+        g = NNBipartiteGraph.build([0, 1], np.arange(2, MAX_POOL + 3), X)
+        for solve in self.SOLVERS:
+            with pytest.raises(ValueError, match="enumeration limit"):
+                solve(g, 2)
 
 
 class TestTotalThreshold:
     def test_toy_edges_of_feasibility(self, toy_graph):
-        assert mmtd_decide(ModificationInstance(toy_graph, k=1, sigma=7.0))
-        assert not mmtd_decide(ModificationInstance(toy_graph, k=1, sigma=6.99))
-        assert mmtd_decide(ModificationInstance(toy_graph, k=2, sigma=3.0))
-        assert not mmtd_decide(ModificationInstance(toy_graph, k=2, sigma=2.99))
+        assert mmtd_decide(toy_graph, 1, 7.0)
+        assert not mmtd_decide(toy_graph, 1, 6.99)
+        assert mmtd_decide(toy_graph, 2, 3.0)
+        assert not mmtd_decide(toy_graph, 2, 2.99)
 
     def test_budget_allows_smaller_subsets(self, toy_graph):
         # k=2 with sigma achievable by a single move must be feasible
-        assert mmtd_decide(ModificationInstance(toy_graph, k=2, sigma=7.0))
+        assert mmtd_decide(toy_graph, 2, 7.0)
 
     def test_sigma_below_best_is_infeasible(self):
         rng = np.random.default_rng(97)
         g, _ = random_graph(rng, n_lo=8, n_hi=12)
         k = min(2, g.unlabeled.size)
         floor = min(min_total_after(g, size) for size in range(1, k + 1))
-        assert mmtd_decide(ModificationInstance(g, k=k, sigma=floor))
-        assert not mmtd_decide(
-            ModificationInstance(g, k=k, sigma=floor - 1e-6)
-        )
+        assert mmtd_decide(g, k, floor)
+        assert not mmtd_decide(g, k, floor - 1e-6)
 
 
 class TestMaxThreshold:
     def test_toy_edges_of_feasibility(self, toy_graph):
         # moving 9 (or 13) leaves edges {4, 2, 1}: the best single-move max is 4
-        assert mmmd_decide(ModificationInstance(toy_graph, k=1, beta=4.0))
-        assert not mmmd_decide(ModificationInstance(toy_graph, k=1, beta=3.99))
+        assert mmmd_decide(toy_graph, 1, 4.0)
+        assert not mmmd_decide(toy_graph, 1, 3.99)
 
     def test_moving_everything_clears_all_edges(self, toy_graph):
-        assert mmmd_decide(ModificationInstance(toy_graph, k=4, beta=0.0))
+        assert mmmd_decide(toy_graph, 4, 0.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(101)
@@ -172,10 +173,8 @@ class TestMaxThreshold:
                         sorted(g.labeled.tolist() + list(combo)), rest, X
                     )
                     best = min(best, float(after.thetas.max()))
-            inst_true = ModificationInstance(g, k=k, beta=best + 1e-9)
-            inst_false = ModificationInstance(g, k=k, beta=best - 1e-6)
-            assert mmmd_decide(inst_true)
-            assert not mmmd_decide(inst_false)
+            assert mmmd_decide(g, k, best + 1e-9)
+            assert not mmmd_decide(g, k, best - 1e-6)
 
 
 @st.composite
@@ -216,6 +215,5 @@ class TestWeightsAlone:
         sigma = data.draw(st.sampled_from(totals))
         beta = data.draw(st.sampled_from(maxima))
         for s, b in ((sigma, beta), (np.nextafter(sigma, -1), np.nextafter(beta, -1))):
-            inst = ModificationInstance(g, k=k, sigma=s, beta=b)
-            assert mmtd_decide(inst) == any(t <= s for t in totals)
-            assert mmmd_decide(inst) == any(m <= b for m in maxima)
+            assert mmtd_decide(g, k, s) == any(t <= s for t in totals)
+            assert mmmd_decide(g, k, b) == any(m <= b for m in maxima)

@@ -376,6 +376,11 @@ class TestRanking:
         assert report.ranking_counts[10][0] == first
         assert report.ranking_counts[10][2] == 0  # two strategies: rank <= 2
 
+    def test_one_strategy_ranks_every_trial_first(self):
+        config = small_config(synthetic_dataset(17), ["random"], trials=3, rounds=5)
+        report = run_experiment(config)
+        assert report.ranking_counts == {5: (3, 0, 0), 10: (3, 0, 0)}
+
 
 class TestCsvEmission:
     def test_files_and_headers(self, emitted):
@@ -780,6 +785,6 @@ class TestValidationSuite:
         monkeypatch.setattr(validation, "check_bound", violated)
         lines = []
         assert run_validation(seed=0, echo=lines.append) == 1
-        assert lines[1] == "FAIL: prediction-shift bound violated on 50/2050 draws"
+        assert lines[1] == "FAIL: prediction-shift bound violated on 2000/2000 draws"
         assert lines[2].startswith("ok: local search")
         assert lines[3].startswith("ok: threshold")
