@@ -10,14 +10,12 @@ benchmark harness round out the package.
 from .datasets import (
     Dataset,
     DatasetManifest,
-    ScalerParams,
     SplitIndices,
-    apply_standardizer,
-    fit_standardizer,
     load_dataset,
     load_manifest,
     make_split,
     round_half_up,
+    standardize,
 )
 from .exhaustive import best_subset_by_q, min_total_after, mmmd_decide, mmtd_decide
 from .experiment import (
@@ -67,12 +65,10 @@ __all__ = [
     "NNBipartiteGraph",
     "OracleConfig",
     "RegressionSpec",
-    "ScalerParams",
     "SelectionTrace",
     "SplitIndices",
     "StrategyConfig",
     "TrialResult",
-    "apply_standardizer",
     "best_subset_by_q",
     "build_model_space",
     "build_seed_set",
@@ -83,7 +79,6 @@ __all__ = [
     "expanded_dim",
     "fit",
     "fit_diagnostics",
-    "fit_standardizer",
     "greedy_order",
     "load_dataset",
     "load_manifest",
@@ -104,5 +99,6 @@ __all__ = [
     "select_ours_sequential",
     "select_qbc",
     "select_random",
+    "standardize",
     "write_trace_log",
 ]

@@ -4,6 +4,8 @@ A manifest (JSON, see ``load_manifest``) describes where each data file lives an
 how to parse it. Loading produces a :class:`Dataset` of float64 features and
 targets; standardization and the test/initial-labeled/pool split are separate,
 deterministic steps so experiments can be reproduced from a seed alone.
+``standardize`` z-scores a matrix with that matrix's own column statistics;
+no statistics carry from one matrix to another.
 """
 
 from __future__ import annotations
@@ -124,24 +126,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-
-@dataclass(frozen=True)
-class ScalerParams:
-    """Per-column means and strictly positive stds (constant columns get std 1)."""
-
-    means: np.ndarray
-    stds: np.ndarray
-
-    def __post_init__(self):
-        means = np.asarray(self.means, dtype=np.float64)
-        stds = np.asarray(self.stds, dtype=np.float64)
-        if means.shape != stds.shape or means.ndim != 1:
-            raise ValueError("means and stds must be 1-D arrays of equal length")
-        if not np.all(stds > 0):
-            raise ValueError("stds must be strictly positive")
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "stds", stds)
 
 
 @dataclass(frozen=True)
@@ -296,26 +280,14 @@ def _resolve_target_column(
     return idx
 
 
-def fit_standardizer(features: np.ndarray) -> ScalerParams:
-    """Population mean/std per column; stds below DEGENERATE_STD become 1."""
+def standardize(features: np.ndarray) -> np.ndarray:
+    """(X - column mean) / column population std; stds below DEGENERATE_STD
+    become 1."""
     X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError("need a nonempty 2-D matrix to fit a standardizer")
-    means = X.mean(axis=0)
+    if X.ndim != 2 or X.size == 0:
+        raise ValueError(f"need a nonempty 2-D matrix to standardize, got {X.shape}")
     stds = X.std(axis=0)  # population (ddof=0)
-    stds = np.where(stds < DEGENERATE_STD, 1.0, stds)
-    return ScalerParams(means=means, stds=stds)
-
-
-def apply_standardizer(features: np.ndarray, params: ScalerParams) -> np.ndarray:
-    """(X - means) / stds, with a width check."""
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.means.shape[0]:
-        raise ValueError(
-            f"feature width {X.shape} does not match scaler width "
-            f"{params.means.shape[0]}"
-        )
-    return (X - params.means) / params.stds
+    return (X - X.mean(axis=0)) / np.where(stds < DEGENERATE_STD, 1.0, stds)
 
 
 def split_sizes(n: int) -> tuple[int, int, int]:

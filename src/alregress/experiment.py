@@ -51,14 +51,13 @@ from .datasets import (
     Dataset,
     DatasetManifest,
     SplitIndices,
-    apply_standardizer,
-    fit_standardizer,
     load_dataset,
     make_split,
     require_int,
     require_nonnegative,
     round_half_up,
     split_sizes,
+    standardize,
 )
 from .features import expand_matrix
 from .graph import NNBipartiteGraph
@@ -173,11 +172,11 @@ class ExperimentReport:
 def build_model_space(dataset: Dataset, regression: RegressionSpec) -> Dataset:
     """The dataset in the space models and strategies see: raw features
     standardized; for polynomial runs, the standardized features expanded
-    and the expanded matrix re-standardized."""
-    Z = apply_standardizer(dataset.features, fit_standardizer(dataset.features))
+    and the expanded matrix standardized again. Each ``standardize`` call
+    uses the statistics of the matrix it is given."""
+    Z = standardize(dataset.features)
     if regression.kind == "polynomial":
-        Z = expand_matrix(Z, regression.degree)
-        Z = apply_standardizer(Z, fit_standardizer(Z))
+        Z = standardize(expand_matrix(Z, regression.degree))
     return Dataset(features=Z, targets=dataset.targets, name=dataset.name)
 
 

@@ -226,8 +226,8 @@ def select_ours_batch(
     seed_pos = graph._subset_positions(seed_set)
     if seed_pos.size != k:
         raise ValueError(f"seed set must hold {k} distinct indices")
-    if k == nU:  # no candidate to swap in
-        q = graph.q_set(graph.unlabeled)
+    if k == nU:  # no candidate to swap in; moving the whole pool removes H
+        q = graph.total_uncertainty()
         return SelectionTrace(chosen=graph.unlabeled.copy(), score=q, q_history=(q,))
 
     search = _SwapSearch(graph, seed_pos)

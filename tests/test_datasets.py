@@ -14,14 +14,13 @@ from hypothesis import strategies as st
 from alregress import (
     Dataset,
     DatasetManifest,
-    ScalerParams,
-    apply_standardizer,
-    fit_standardizer,
     load_dataset,
     load_manifest,
     make_split,
     round_half_up,
+    standardize,
 )
+from alregress.datasets import DEGENERATE_STD
 
 from conftest import REPO_ROOT
 
@@ -251,30 +250,29 @@ class TestDatasetValidation:
 
 class TestStandardizer:
     def test_frozen_population_std(self):
-        params = fit_standardizer(np.array([[1.0], [2.0], [3.0]]))
-        assert params.means[0] == 2.0
-        assert params.stds[0] == pytest.approx(SQRT_2_3, abs=1e-15)
+        Z = standardize(np.array([[1.0], [2.0], [3.0]]))
+        np.testing.assert_allclose(
+            Z[:, 0], [-1 / SQRT_2_3, 0.0, 1 / SQRT_2_3], rtol=0, atol=1e-15
+        )
 
     def test_output_is_zero_mean_unit_std(self):
         rng = np.random.default_rng(3)
         X = rng.normal(loc=5.0, scale=3.0, size=(200, 4))
-        Z = apply_standardizer(X, fit_standardizer(X))
+        Z = standardize(X)
         np.testing.assert_allclose(Z.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(Z.std(axis=0), 1.0, atol=1e-12)
 
     def test_constant_column_passes_through_centered(self):
         X = np.array([[7.0, 1.0], [7.0, 2.0], [7.0, 3.0]])
-        Z = apply_standardizer(X, fit_standardizer(X))
+        Z = standardize(X)
         np.testing.assert_array_equal(Z[:, 0], 0.0)  # divided by 1, not ~0
 
-    def test_scaler_params_validate(self):
+    @pytest.mark.parametrize(
+        "X", [np.ones(3), np.ones((2, 2, 2)), np.ones((0, 3)), np.ones((3, 0))]
+    )
+    def test_rejects_non_2d_and_empty(self, X):
         with pytest.raises(ValueError):
-            ScalerParams(means=np.zeros(2), stds=np.array([1.0, 0.0]))
-
-    def test_width_mismatch_rejected(self):
-        params = fit_standardizer(np.ones((3, 2)))
-        with pytest.raises(ValueError):
-            apply_standardizer(np.ones((3, 5)), params)
+            standardize(X)
 
     @given(
         st.lists(
@@ -286,9 +284,9 @@ class TestStandardizer:
     @settings(max_examples=60, deadline=None)
     def test_round_trip_recovers_input(self, rows):
         X = np.array(rows)
-        params = fit_standardizer(X)
-        Z = apply_standardizer(X, params)
-        back = Z * params.stds + params.means
+        stds = X.std(axis=0)
+        stds = np.where(stds < DEGENERATE_STD, 1.0, stds)
+        back = standardize(X) * stds + X.mean(axis=0)
         np.testing.assert_allclose(back, X, atol=1e-6, rtol=1e-9)
 
 

@@ -17,7 +17,7 @@ from alregress import BoundDiagnostic, LinearModel, NNBipartiteGraph, check_boun
 from alregress import graph as graph_module
 from alregress.graph import q_columns
 
-from conftest import grid_graphs, q_by_rebuild, random_graph
+from conftest import clustered_graph, grid_graphs, q_by_rebuild, random_graph
 
 
 def nn_scan(labeled, unlabeled, X):
@@ -132,14 +132,6 @@ class TestScores:
             assert g.q_set([a, b]) >= g.q_set([a]) - 1e-12
 
 
-def clustered_graph(seed, n, d=6, n_labeled=40):
-    rng = np.random.default_rng(seed)
-    centers = rng.normal(scale=5.0, size=(6, d))
-    X = centers[rng.integers(0, 6, size=n)] + 0.5 * rng.normal(size=(n, d))
-    perm = rng.permutation(n)
-    return NNBipartiteGraph.build(perm[:n_labeled], perm[n_labeled:], X)
-
-
 class TestQValuesBudget:
     """q_values is one q_columns call, which scores max(1, _DIST_BUDGET //
     |U|) columns per block and frees each block before the next; the bits
@@ -154,7 +146,7 @@ class TestQValuesBudget:
 
     @pytest.mark.parametrize("columns", [1, 7, None])  # None: the whole pool
     def test_bits_equal_column_loop(self, monkeypatch, columns):
-        continuous = clustered_graph(3, 437)
+        continuous = clustered_graph(3, n=437)
         rng = np.random.default_rng(4)
         X = rng.integers(0, 4, size=(301, 2)).astype(float)  # duplicates, ties
         grid = NNBipartiteGraph.build(np.arange(5), np.arange(5, 301), X)
@@ -168,7 +160,7 @@ class TestQValuesBudget:
         """A 2,000-point pool peaks within two budgets of distances (one
         block, 2.1 MB, plus the pool's rows), not at a pool x pool matrix
         (32 MB) or the former |U| x 1024 block (16.4 MB)."""
-        g = clustered_graph(7, 2040)
+        g = clustered_graph(7, n=2040)
         pool = g.unlabeled.size
         budget_bytes = graph_module._DIST_BUDGET * 8
         tracemalloc.start()
@@ -235,7 +227,7 @@ class TestNearPairs:
         # blocks, the last one short; 1 takes one row at a time, the last
         # budget the whole pool at once
         monkeypatch.setattr(graph_module, "_DIST_BUDGET", budget)
-        self.assert_is_reference(clustered_graph(3, 477))
+        self.assert_is_reference(clustered_graph(3, n=477))
 
 
 class TestCommit:

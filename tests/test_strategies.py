@@ -172,6 +172,17 @@ class TestBatch:
         assert np.sort(trace.chosen).tolist() == [3, 4, 5, 6]
         assert trace.score == 19.0
 
+    def test_k_equal_pool_scores_without_commit(self, toy_graph, monkeypatch):
+        # moving the whole pool leaves no weight, so the score is H itself
+        def refuse(self, subset):
+            raise AssertionError("k = |pool| must not commit or call q_set")
+
+        monkeypatch.setattr(NNBipartiteGraph, "commit", refuse)
+        monkeypatch.setattr(NNBipartiteGraph, "q_set", refuse)
+        trace = select_ours_batch(toy_graph, toy_graph.unlabeled.size)
+        assert trace.score == toy_graph.total_uncertainty()
+        assert trace.q_history == (trace.score,)
+
     def test_seed_validation(self, toy_graph):
         with pytest.raises(ValueError):
             select_ours_batch(toy_graph, 2, seed_set=np.array([3]))  # wrong size
