@@ -62,7 +62,7 @@ from .datasets import (
 from .features import expand_matrix
 from .graph import NNBipartiteGraph
 from .oracle import LabelOracle, OracleConfig
-from .regression import fit, predict, rmse
+from .regression import _openblas_thread_controls, fit, predict, rmse
 from .strategies import (
     StrategyConfig,
     build_seed_set,
@@ -396,8 +396,14 @@ _adopted: tuple | None = None
 
 
 def _adopt(*run) -> None:
+    """Fork initializer: keep the run, and put every loaded OpenBLAS on one
+    thread for the worker's life. There are as many workers as usable CPUs,
+    so a second BLAS thread per worker (predict's products too, not only
+    fit's solve) would only contend for a core."""
     global _adopted
     _adopted = run
+    for _, set_threads in _openblas_thread_controls():
+        set_threads(1)
 
 
 def _pooled_task(task: tuple[int, tuple[StrategyConfig, ...]]) -> list[TrialResult]:

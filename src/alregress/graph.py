@@ -21,10 +21,20 @@ from scipy.spatial.distance import cdist
 BOUND_TOL = 1e-12
 
 # Pairwise distances a blocked scan holds at once: near_pairs, which lazy
-# greedy and the swap search read, takes max(1, _DIST_BUDGET // |U|)
-# candidate rows per block, and q_columns, the dense reference behind
-# q_values, scores max(1, _DIST_BUDGET // rows) candidate columns.
+# greedy and the swap search read, measures each block of candidates
+# against only the rows its anchors can reach, in cdist rectangles of at
+# most this many distances, and its anchor-to-anchor distances in blocks
+# that hold this many with their bounds; q_columns, the dense reference
+# behind q_values, scores max(1, _DIST_BUDGET // rows) candidate columns.
 _DIST_BUDGET = 1 << 18
+
+# Relative slack of near_pairs' anchor test for float rounding (derived in
+# near_pairs); it covers feature widths up to about 10**6.
+_PRUNE_SLACK = 1e-9
+
+# About the time of one more cdist call of near_pairs, in distances: two
+# anchor groups share a block when that measures no more extra distances.
+_CALL_DISTANCES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -77,12 +87,118 @@ def q_columns(rows, thetas, candidates) -> np.ndarray:
     return out
 
 
+def _anchor_reach(features, nn, thetas):
+    """The pool's anchor groups and which of them can pair (see near_pairs).
+
+    Returns ``group``, each pool position's group, numbered in ascending
+    anchor order; ``sizes``, the group sizes; ``reach``, where reach[m, l]
+    is False only if no group-l row can be near a group-m candidate; and
+    ``widths``, the pool rows each group reaches. The anchor distances come
+    in blocks that hold, with their bounds, one _DIST_BUDGET.
+    """
+    anchors, group = np.unique(nn, return_inverse=True)
+    radius = np.zeros(anchors.size)
+    np.maximum.at(radius, group, thetas)
+    sizes = np.bincount(group, minlength=anchors.size)
+    A = features[anchors]
+    reach = np.empty((anchors.size, anchors.size), dtype=bool)
+    widths = np.empty(anchors.size, dtype=np.int64)
+    step = max(1, _DIST_BUDGET // max(2 * anchors.size, 1))
+    for s in range(0, anchors.size, step):
+        bound = radius[s : s + step, None] + 2.0 * radius
+        bound *= 1.0 + _PRUNE_SLACK
+        reach[s : s + step] = cdist(A[s : s + step], A, "cityblock") < bound
+        widths[s : s + step] = reach[s : s + step] @ sizes
+    return group, sizes, reach, widths
+
+
+def _near_pair_pieces(features, unlabeled, nn, thetas, ptr) -> list:
+    """near_pairs' pairs as (candidates, rows, dist) pieces, candidate by
+    candidate, each candidate u's pair count written to ptr[u + 1].
+
+    Candidates come in whole anchor groups, ascending within each. A group
+    joins the block before it while the block's rectangle, its candidates
+    by the union of its groups' reachable rows, fits _DIST_BUDGET and grows
+    by no more than _CALL_DISTANCES over the two rectangles apart. Larger
+    rectangles go to cdist in candidate slices of at most _DIST_BUDGET.
+    """
+    X, n = features[unlabeled], thetas.size
+    group, sizes, reach, widths = _anchor_reach(features, nn, thetas)
+    widths, counts = widths.tolist(), sizes.tolist()
+    first = [0, *np.cumsum(sizes).tolist()]
+    order = np.argsort(group, kind="stable")  # group by group, ascending
+    pieces = []
+    g = 0
+    while g < sizes.size:
+        span = merged = reach[g]
+        width = merged_width = widths[g]
+        area, h = counts[g] * width, g + 1
+        while h < sizes.size:
+            if width < n:  # a full span stays full
+                merged = span | reach[h]
+                merged_width = int(sizes @ merged)
+            grown = (first[h + 1] - first[g]) * merged_width
+            apart = area + counts[h] * widths[h]
+            if grown > min(_DIST_BUDGET, apart + _CALL_DISTANCES):
+                break
+            span, width, area, h = merged, merged_width, grown, h + 1
+        cands, g = order[first[g] : first[h]], h
+        if width == n:  # nothing pruned: no gather, no row map
+            XR, TR, rows = X, thetas, None
+        elif width:
+            rows = np.flatnonzero(span[group])  # ascending positions
+            XR, TR = X[rows], thetas[rows]
+        else:
+            continue
+        step = max(1, _DIST_BUDGET // width)
+        for s in range(0, cands.size, step):
+            # Rows are candidates u: d(u, j) equals d(j, u) bit for bit,
+            # since each |a - b| is symmetric and the terms sum in one
+            # order. So does q_columns' d(j, u).
+            c = cands[s : s + step]
+            d = cdist(X[c], XR, "cityblock")
+            flat = np.flatnonzero(d < TR)
+            ptr[c + 1] = np.bincount(flat // width, minlength=c.size)
+            j = flat % width
+            j = j if rows is None else rows[j]
+            pieces.append((c, j.astype(np.int32), d.ravel()[flat]))
+            del d
+    return pieces
+
+
+def _pair_index(ptr, block) -> np.ndarray:
+    """Indices into a near-pair list of every pair of the candidate
+    positions ``block``, in block order."""
+    lens = ptr[block + 1] - ptr[block]
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1]) + np.repeat(ptr[block] - ends + lens, lens)
+
+
+def _place_pieces(ptr, pieces) -> tuple[np.ndarray, np.ndarray]:
+    """rows and dist of the near-pair list from its (candidates, rows, dist)
+    pieces, each written into its candidates' ``ptr`` slices and freed."""
+    rows, dist = np.empty(ptr[-1], dtype=np.int32), np.empty(ptr[-1])
+    while pieces:
+        c, j, d = pieces.pop()
+        if c[-1] - c[0] == c.size - 1 and np.all(np.diff(c) > 0):  # a range
+            at = slice(ptr[c[0]], ptr[c[-1] + 1])
+        else:
+            at = _pair_index(ptr, c)
+        rows[at], dist[at] = j, d
+    return rows, dist
+
+
 class NNBipartiteGraph:
     """Bipartite nearest-neighbor graph over a fixed feature matrix.
 
     ``labeled`` and ``unlabeled`` are sorted dataset-index arrays; ``nn`` and
     ``thetas`` align with ``unlabeled``. ``features`` is held by reference and
     must not be mutated while the graph is alive.
+
+    Invariant: ``thetas[j]`` is the cdist L1 distance from ``unlabeled[j]``
+    to its anchor ``nn[j]``, as computed, not a value rounded any other way.
+    build and commit keep it true; near_pairs' triangle-inequality prune
+    relies on it.
     """
 
     __slots__ = ("features", "labeled", "unlabeled", "nn", "thetas", "_pairs")
@@ -192,29 +308,41 @@ class NNBipartiteGraph:
         2% of pool x pool at the whitewine stand-in; it holds every pair
         only when the labeled set lies far from every pool point.
 
-        Built once per graph, from blocks of cdist candidate rows of at most
-        _DIST_BUDGET distances, and kept until the graph goes; a commit
-        starts without it.
+        Built once per graph and kept until the graph goes; a commit starts
+        without it. The build measures only the pairs that the triangle
+        inequality cannot rule out. Each pool point's anchor nn[j] heads
+        its group; let R_l be the largest weight in group l. A near pair
+        with candidate u in group m and row j in group l has anchors at
+
+            d(a_m, a_l) <= theta_u + d(u, j) + theta_j < R_m + 2 R_l,
+
+        so a block of candidate groups needs only the rows of the groups l
+        with d(a_m, a_l) < (R_m + 2 R_l)(1 + _PRUNE_SLACK) for one of its
+        anchors m. Those distances come from the same cdist calls as a
+        full scan, so each measured pair keeps its bits, and d < thetas[j]
+        alone decides which are kept: the list is the full scan's bit for
+        bit. About a fifth of pool x pool is measured at the whitewine
+        stand-in; all of it when the labeled set lies far from the pool.
+
+        The slack covers rounding. A computed L1 distance over D columns is
+        within gamma_D = D u / (1 - D u), u = 2**-53, of the exact one,
+        relative: D rounded differences and a sum of non-negative terms, in
+        any order. The weights are such computed distances (the class
+        invariant), so for a kept pair the exact anchor distance is below
+        (R_m + 2 R_l) / (1 - gamma_D), and its computed value below
+        (R_m + 2 R_l)(1 + gamma_D) / (1 - gamma_D), that is a relative
+        excess of 2 gamma_D / (1 - gamma_D). The test's own bound loses at
+        most 3u, relative, to its sum, its product and the rounded
+        1 + _PRUNE_SLACK. So a slack above 2 gamma_D / (1 - gamma_D) + 3u
+        keeps every near pair; 1e-9 does for D up to about 10**6.
         """
         if self._pairs is None:
-            X, theta = self.features[self.unlabeled], self.thetas
-            n = theta.size
-            step = max(1, _DIST_BUDGET // max(n, 1))
-            ptr = np.zeros(n + 1, dtype=np.int64)
-            rows, dist = [np.empty(0, dtype=np.int32)], [np.empty(0)]
-            for start in range(0, n, step):
-                # Rows are candidates u: d(u, j) equals d(j, u) bit for bit,
-                # since each |a - b| is symmetric and the terms sum in one
-                # order. So does q_columns' d(j, u).
-                d = cdist(X[start : start + step], X, "cityblock")
-                flat = np.flatnonzero(d < theta)
-                ptr[start + 1 : start + 1 + d.shape[0]] = np.bincount(
-                    flat // n, minlength=d.shape[0]
-                )
-                rows.append((flat % n).astype(np.int32))
-                dist.append(d.ravel()[flat])
+            ptr = np.zeros(self.unlabeled.size + 1, dtype=np.int64)
+            pieces = _near_pair_pieces(
+                self.features, self.unlabeled, self.nn, self.thetas, ptr
+            )
             np.cumsum(ptr, out=ptr)
-            self._pairs = ptr, np.concatenate(rows), np.concatenate(dist)
+            self._pairs = ptr, *_place_pieces(ptr, pieces)
         return self._pairs
 
     # -- mutation ----------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .datasets import require_int
-from .graph import NNBipartiteGraph
+from .graph import NNBipartiteGraph, _pair_index
 from .regression import fit, predict
 
 # Minimum strict improvement for a batch swap to be accepted.
@@ -82,16 +82,6 @@ def select_ours_sequential(graph: NNBipartiteGraph) -> SelectionTrace:
     return SelectionTrace(chosen=int(picks[0]), score=float(drops[0]))
 
 
-def _pair_slices(ptr, block):
-    """Indices into a near-pair list of every pair of the candidate
-    positions ``block``, in block order, and the block slot of each."""
-    lo, hi = ptr[block], ptr[block + 1]
-    lens = hi - lo
-    ends = np.cumsum(lens)
-    idx = np.arange(ends[-1]) + np.repeat(lo - ends + lens, lens)
-    return idx, np.repeat(np.arange(block.size), lens)
-
-
 def _pairs_before(ptr, candidates):
     """Near pairs of candidates[:i] for every i from 0 to candidates.size."""
     out = np.zeros(candidates.size + 1, dtype=np.int64)
@@ -108,18 +98,28 @@ def _block_stop(pairs_before, i, width):
     return max(i + 1, min(i + width, int(fits)))
 
 
-def _sparse_scores(pairs, weights, candidates):
+def _sparse_scores(pairs, weights, candidates=None):
     """Sum of max(0, weights[j] - d(j, u)) over the near pairs of each
     candidate position u, in row order, in blocks of at most _SWAP_BLOCK
     pairs. A row that holds no near pair of u adds nothing, since weights
-    never exceed the weights the pairs were listed under."""
+    never exceed the weights the pairs were listed under. ``candidates``
+    None scores every pool position, each block's pairs one slice of the
+    list."""
     ptr, rows, dist = pairs
-    out = np.empty(candidates.size)
-    before = _pairs_before(ptr, candidates)
+    if candidates is None:
+        before, size = ptr, ptr.size - 1
+    else:
+        before, size = _pairs_before(ptr, candidates), candidates.size
+    out = np.empty(size)
     i = 0
-    while i < candidates.size:
-        stop = _block_stop(before, i, candidates.size)
-        idx, at = _pair_slices(ptr, candidates[i:stop])
+    while i < size:
+        stop = _block_stop(before, i, size)
+        if candidates is None:
+            idx, lens = slice(ptr[i], ptr[stop]), np.diff(ptr[i : stop + 1])
+        else:
+            block = candidates[i:stop]
+            idx, lens = _pair_index(ptr, block), ptr[block + 1] - ptr[block]
+        at = np.repeat(np.arange(stop - i), lens)  # each pair's block slot
         terms = np.maximum(weights[rows[idx]] - dist[idx], 0.0)
         out[i:stop] = np.bincount(at, weights=terms, minlength=stop - i)
         i = stop
@@ -160,7 +160,7 @@ def build_seed_set(graph: NNBipartiteGraph, k: int) -> tuple[np.ndarray, np.ndar
     pairs = ptr, rows, dist = graph.near_pairs()
     weights = graph.thetas.copy()  # g_i's weights at initial pool positions
     h = graph.total_uncertainty()
-    bound = _sparse_scores(pairs, weights, np.arange(pool.size))
+    bound = _sparse_scores(pairs, weights)
     alive = np.ones(pool.size, dtype=bool)
     fresh = np.ones(pool.size, dtype=bool)
     picks = np.empty(k, dtype=np.int64)

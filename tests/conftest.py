@@ -1,6 +1,6 @@
 """Shared fixtures: the 1-D toy graph, random, clustered and integer-grid
-instances, the graph-whitewine benchmark stand-in's graph, the slow
-references for lazy greedy, the greedy max-min-distance walk, the swap
+instances, the benchmark stand-in's graphs, the slow references for the
+near-pair list, lazy greedy, the greedy max-min-distance walk, the swap
 search, rebuilds and least squares with the checks that hold the fast paths
 to them, the replay of a harness trial on a graph, benchmark data
 discovery, and the OpenBLAS kernel the run uses, named in the report header.
@@ -9,6 +9,7 @@ discovery, and the OpenBLAS kernel the run uses, named in the report header.
 unit tests and ``al-regress validate`` draw instances the same way."""
 
 import ctypes
+import dataclasses
 import importlib.util
 import os
 import sys
@@ -153,17 +154,18 @@ def clustered_graph(seed=7, n=2040, d=6, n_labeled=40):
     return NNBipartiteGraph.build(perm[:n_labeled], perm[n_labeled:], X)
 
 
-def whitewine_stand_in_graph(split_seed):
-    """The initial graph of a graph-whitewine benchmark trial at split seed
-    ``split_seed``: perfbench/workloads.py's stand-in data (4,898 x 11,
-    generated at seed 0), linear features, a 3,380-point pool."""
+def stand_in_graph(split_seed, n=4898, d=11):
+    """The initial graph of a trial on perfbench/workloads.py's stand-in
+    data at n x d (generated at seed 0), linear features, at split seed
+    ``split_seed``. The defaults are the graph-whitewine benchmark's, whose
+    pool holds 3,380 points."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py"
     )
     wl = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = wl  # dataclasses look their module up here
     spec.loader.exec_module(wl)  # perfbench is no package
-    workload = wl.WORKLOADS["graph-whitewine"]
+    workload = dataclasses.replace(wl.WORKLOADS["graph-whitewine"], n=n, d=d)
     # the benchmark writes these floats as repr and loads them back exactly
     X, y = wl.stand_in(workload, 0)
     space = build_model_space(
@@ -173,6 +175,31 @@ def whitewine_stand_in_graph(split_seed):
     split = make_split(space.n, split_seed)
     return NNBipartiteGraph.build(split.initial_labeled, split.unlabeled_pool,
                                   space.features)
+
+
+def whitewine_stand_in_graph(split_seed):
+    """The initial graph of a graph-whitewine benchmark trial at split seed
+    ``split_seed``: a 3,380-point pool."""
+    return stand_in_graph(split_seed)
+
+
+def near_pairs_reference(g):
+    """One pool x pool cdist, masked by d(u, j) < thetas[j] and grouped by
+    candidate u, rows ascending: what near_pairs must return bitwise."""
+    XU = g.features[g.unlabeled]
+    D = cdist(XU, XU, "cityblock")
+    u, j = np.nonzero(D < g.thetas)
+    ptr = np.zeros(g.unlabeled.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u, minlength=g.unlabeled.size), out=ptr[1:])
+    return ptr, j.astype(np.int32), D[u, j]
+
+
+def assert_near_pairs_are_reference(g):
+    """near_pairs equals near_pairs_reference: dtype, shape and bytes."""
+    for got, want in zip(g.near_pairs(), near_pairs_reference(g), strict=True):
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def eager_seed_set(graph, k):

@@ -1,4 +1,5 @@
-"""The graph rules and greedy against their slow references at full size.
+"""The near-pair list, the graph rules and greedy against their slow
+references at full size.
 
 Everywhere else the fast paths meet their references on small instances.
 Here they meet them on the protocol's full sizes: the graph-whitewine
@@ -19,6 +20,7 @@ from alregress import build_seed_set
 
 from conftest import (
     assert_greedy_is_fresh_scans,
+    assert_near_pairs_are_reference,
     assert_lazy_is_eager,
     assert_matches_dense,
     whitewine_stand_in_graph,
@@ -32,14 +34,16 @@ GREEDY_PICKS = 680
 
 @pytest.mark.skipif(
     not os.environ.get("ALREGRESS_FULL_REFERENCES"),
-    reason="set ALREGRESS_FULL_REFERENCES=1 to check build_seed_set, "
-    "select_ours_batch and greedy_order against their slow references at "
-    "full size (about 4 minutes)",
+    reason="set ALREGRESS_FULL_REFERENCES=1 to check near_pairs, "
+    "build_seed_set, select_ours_batch and greedy_order against their slow "
+    "references at full size (about 4 minutes)",
 )
 def test_slow_references_at_full_size():
     for split_seed in (0, 1):  # in one test, so that the skip counts once
         g = whitewine_stand_in_graph(split_seed)
         assert g.unlabeled.size == 3380
+        # the pruned near-pair build against one pool x pool cdist, bitwise
+        assert_near_pairs_are_reference(g)
         # the eager q_values chain: the same picks and drop bits
         assert_lazy_is_eager(g, FULL_K)
         # the dense search from the same seed: set, swap count, q_history bits

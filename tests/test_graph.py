@@ -17,7 +17,15 @@ from alregress import BoundDiagnostic, LinearModel, NNBipartiteGraph, check_boun
 from alregress import graph as graph_module
 from alregress.graph import q_columns
 
-from conftest import clustered_graph, grid_graphs, q_by_rebuild, random_graph
+from conftest import (
+    assert_near_pairs_are_reference,
+    clustered_graph,
+    grid_graphs,
+    near_pairs_reference,
+    q_by_rebuild,
+    random_graph,
+    stand_in_graph,
+)
 
 
 def nn_scan(labeled, unlabeled, X):
@@ -173,26 +181,31 @@ class TestQValuesBudget:
         assert 2 * budget_bytes < pool * pool * 8 / 5
 
 
-def near_pairs_reference(g):
-    """One pool x pool cdist, masked by d(u, j) < thetas[j] and grouped by
-    candidate u, rows ascending: what near_pairs must return bitwise."""
-    XU = g.features[g.unlabeled]
-    D = cdist(XU, XU, "cityblock")
-    u, j = np.nonzero(D < g.thetas)
-    ptr = np.zeros(g.unlabeled.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(u, minlength=g.unlabeled.size), out=ptr[1:])
-    return ptr, j.astype(np.int32), D[u, j]
+# the table shapes the protocol runs, whitewine's left to the full-size test
+SMALL_TABLE_SHAPES = {
+    "yacht": (308, 6),
+    "pm10": (500, 7),
+    "housing": (506, 13),
+    "concrete": (1030, 8),
+    "redwine": (1599, 11),
+}
+
+
+def counted_distances(monkeypatch):
+    """A list that collects, per cdist call the graph module makes, the
+    number of distances it computes."""
+    sizes = []
+    real_cdist = graph_module.cdist
+
+    def cdist_spy(a, b, metric):
+        sizes.append(len(a) * len(b))
+        return real_cdist(a, b, metric)
+
+    monkeypatch.setattr(graph_module, "cdist", cdist_spy)
+    return sizes
 
 
 class TestNearPairs:
-    @staticmethod
-    def assert_is_reference(g):
-        got, want = g.near_pairs(), near_pairs_reference(g)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype
-            assert a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
-
     @given(
         g=grid_graphs(max_n=40),
         budget=st.one_of(st.just(graph_module._DIST_BUDGET), st.integers(1, 200)),
@@ -203,31 +216,105 @@ class TestNearPairs:
         # small budget cuts the pool into row blocks of every shape
         with pytest.MonkeyPatch.context() as m:
             m.setattr(graph_module, "_DIST_BUDGET", budget)
-            self.assert_is_reference(g)
+            assert_near_pairs_are_reference(g)
+
+    @pytest.mark.parametrize("split_seed", [0, 1, 2])
+    @pytest.mark.parametrize("shape", list(SMALL_TABLE_SHAPES))
+    def test_table_stand_ins(self, shape, split_seed):
+        assert_near_pairs_are_reference(
+            stand_in_graph(split_seed, *SMALL_TABLE_SHAPES[shape])
+        )
 
     def test_far_labeled_point_makes_every_pair_near(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(300, 3))
         X[0] += 100.0
         g = NNBipartiteGraph.build([0], np.arange(1, 300), X)
-        self.assert_is_reference(g)
+        assert_near_pairs_are_reference(g)
         assert g.near_pairs()[1].size == 299 * 299
 
     def test_one_point_pool(self):
         X = np.array([[0.0, 1.0], [3.0, 1.0]])
         g = NNBipartiteGraph.build([0], [1], X)
-        self.assert_is_reference(g)
+        assert_near_pairs_are_reference(g)
         ptr, rows, dist = g.near_pairs()
         assert ptr.tolist() == [0, 1] and rows.tolist() == [0]
         assert dist.tolist() == [0.0]
 
     @pytest.mark.parametrize("budget", [1, 5000, 30000, 1 << 18])
     def test_blocks_with_a_partial_last_block(self, monkeypatch, budget):
-        # a 437-point pool: the two middle budgets cut it into several row
-        # blocks, the last one short; 1 takes one row at a time, the last
-        # budget the whole pool at once
+        # a 437-point pool: the two middle budgets cut it into several
+        # blocks, the last one short; 1 takes one candidate at a time, the
+        # last budget whole groups at once
         monkeypatch.setattr(graph_module, "_DIST_BUDGET", budget)
-        self.assert_is_reference(clustered_graph(3, n=477))
+        assert_near_pairs_are_reference(clustered_graph(3, n=477))
+
+    def test_clustered_pool_measures_under_half(self, monkeypatch):
+        # the anchors rule out most pairs: a return to the full scan fails
+        g = clustered_graph(7, n=2040)
+        sizes = counted_distances(monkeypatch)
+        assert_near_pairs_are_reference(g)
+        pool = g.unlabeled.size
+        assert sum(sizes) < pool * pool / 2, f"{sum(sizes)} of {pool}^2"
+
+    def test_collinear_anchors_at_the_triangle_bound(self, monkeypatch):
+        # On a line, with integers, d(a_m, a_l) = theta_u + d(u, j) + theta_j
+        # exactly. Anchors 0 and 9k; u = 2k (theta 2k) and j = 5k (theta
+        # 4k) pair up, d(u, j) = 3k < 4k. The anchor distance, 9k, passes
+        # R_m + 2 R_l = 10k but not 2 R_m + R_l = 8k, the bound with the
+        # group roles swapped, nor R_m + R_l. Each copy sits 100 units up
+        # the second axis from the one before. No block merges two groups,
+        # so each group's anchor test alone picks the rows it measures.
+        monkeypatch.setattr(graph_module, "_CALL_DISTANCES", 0)
+        copies = range(1, 6)
+        X = np.array(
+            [[x * k, 100.0 * k] for k in copies for x in (0, 9, 2, 5)]
+        )  # a_m, a_l, u, j
+        labeled = np.flatnonzero(np.arange(X.shape[0]) % 4 < 2)
+        pool = np.flatnonzero(np.arange(X.shape[0]) % 4 >= 2)
+        g = NNBipartiteGraph.build(labeled, pool, X)
+        assert g.thetas.tolist() == [t * k for k in copies for t in (2, 4)]
+        assert_near_pairs_are_reference(g)
+        ptr, rows, _ = g.near_pairs()
+        # u's slice holds j and u itself; j's holds only j
+        assert np.diff(ptr).tolist() == [2, 1] * len(copies)
+        assert rows.tolist() == [r for i in range(0, 10, 2) for r in (i, i + 1, i + 1)]
+
+    def test_identical_rows_measure_no_pool_pair(self, monkeypatch):
+        # every weight is 0, so no pair is near and no anchor reaches a row
+        X = np.ones((400, 3))
+        g = NNBipartiteGraph.build(np.arange(10), np.arange(10, 400), X)
+        sizes = counted_distances(monkeypatch)
+        ptr, rows, dist = g.near_pairs()
+        assert not ptr.any() and rows.size == 0 and dist.size == 0
+        assert sum(sizes) == 1  # anchor 0 against itself
+        assert_near_pairs_are_reference(g)
+
+    def test_half_labeled_many_anchors(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(1000, 4))
+        g = NNBipartiteGraph.build(np.arange(0, 1000, 2), np.arange(1, 1000, 2), X)
+        assert np.unique(g.nn).size > 250
+        assert_near_pairs_are_reference(g)
+
+    def test_build_peak_within_reference(self):
+        # the clustered pool: the build holds no more than the one pool x
+        # pool cdist of the reference, nor more than twice its list and two
+        # budgets of distances
+        g = clustered_graph(7, n=2040)
+        peaks = []
+        for build in (near_pairs_reference, lambda g: g.near_pairs()):
+            g._pairs = None
+            tracemalloc.start()
+            try:
+                build(g)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        reference, pruned = peaks
+        list_bytes = 12 * g.near_pairs()[1].size
+        assert pruned <= reference, peaks
+        assert pruned < 2 * list_bytes + 2 * 8 * graph_module._DIST_BUDGET, peaks
 
 
 class TestCommit:

@@ -27,7 +27,7 @@ from alregress import (
     run_validation,
     write_trace_log,
 )
-from alregress import experiment, validation
+from alregress import experiment, regression, validation
 
 from conftest import openblas_cores, replay_trial, synthetic_dataset
 
@@ -740,6 +740,37 @@ class TestParallelTrials:
         assert len(forks) == 2
         # raised in a worker: the pool chains the worker's traceback
         assert "failing_qbc" in str(err.value.__cause__)
+
+    def test_workers_run_on_one_blas_thread(self, monkeypatch, forks, tmp_path):
+        # every forked task reads each OpenBLAS at one thread; the caller's
+        # counts are as it set them after the run
+        controls = regression._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded: the workers leave threading alone")
+        saved = [get() for get, _ in controls]
+        real_run_task = experiment._run_task
+
+        def run_task(*args):
+            counts = [get() for get, _ in controls]
+            with open(tmp_path / f"{os.getpid()}.txt", "a") as fh:
+                fh.write(f"{counts}\n")
+            return real_run_task(*args)
+
+        monkeypatch.setattr(experiment, "_run_task", run_task)
+        usable_cpus(monkeypatch, 2)
+        for _, set_threads in controls:
+            set_threads(2)
+        try:
+            run_experiment(all_six_config(trials=2))
+            after = [get() for get, _ in controls]
+        finally:
+            for (_, set_threads), count in zip(controls, saved):
+                set_threads(count)
+        assert len(forks) == 2
+        seen = [line for f in tmp_path.iterdir() for line in f.read_text().splitlines()]
+        assert len(seen) == 10  # 2 trials x (the graph rules + 4 baselines)
+        assert set(seen) == {str([1] * len(controls))}
+        assert after == [2] * len(controls)
 
     def test_one_task_starts_no_process(self, monkeypatch, forks):
         # one trial of the graph rules alone is one task; with one usable

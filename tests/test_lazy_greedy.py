@@ -18,6 +18,7 @@ import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
@@ -33,6 +34,7 @@ from alregress import (
     run_trial,
 )
 from alregress.graph import q_columns
+from alregress import strategies as strategies_module
 from alregress.strategies import _sparse_scores
 
 from conftest import (
@@ -118,6 +120,8 @@ def assert_sparse_is_q_values(g0, order):
     committed graph's q_values bit for bit."""
     pool = g0.unlabeled
     weights = g0.thetas.copy()
+    # the first pass scores every position, each block one slice of the list
+    assert _sparse_scores(g0.near_pairs(), weights).tobytes() == g0.q_values().tobytes()
     alive = np.ones(pool.size, dtype=bool)
     g = g0
     for pos in order:
@@ -136,6 +140,13 @@ class TestFloatContract:
             g0, _ = random_graph(rng, n_lo=8, n_hi=120)
             pool = g0.unlabeled.size
             assert_sparse_is_q_values(g0, rng.permutation(pool)[: max(1, pool // 3)])
+
+    @pytest.mark.parametrize("block", [1, 37, 1 << 16])
+    def test_blocks_of_every_width(self, monkeypatch, block):
+        # a block of one pair, of a few candidates, and the whole pool
+        monkeypatch.setattr(strategies_module, "_SWAP_BLOCK", block)
+        g0 = clustered_graph(3, n=437)
+        assert_sparse_is_q_values(g0, np.random.default_rng(2).permutation(397)[:5])
 
     @given(g=grid_graphs(), data=st.data())
     @settings(max_examples=100, deadline=None)
