@@ -17,7 +17,7 @@ from .datasets import (
     round_half_up,
     standardize,
 )
-from .exhaustive import best_subset_by_q, min_total_after, mmmd_decide, mmtd_decide
+from .exhaustive import best_subset_by_q, min_total_after
 from .experiment import (
     ExperimentConfig,
     ExperimentReport,
@@ -84,8 +84,6 @@ __all__ = [
     "load_manifest",
     "make_split",
     "min_total_after",
-    "mmmd_decide",
-    "mmtd_decide",
     "monomial_index_tuples",
     "predict",
     "rmse",

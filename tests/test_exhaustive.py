@@ -1,8 +1,8 @@
-"""Enumeration references: exact subset optimization and the decision problems.
+"""Enumeration references: exact subset optimization.
 
 Toy-instance expected values, all hand-checkable on the 1-D line:
 single moves leave totals {7, 7, 17, 18}; the best pair is {9, 13} with
-reduction 16 leaving total 3; the best single-move max edge is 4.
+reduction 16 leaving total 3; the best triple adds 38, leaving 41's weight 1.
 """
 
 import itertools
@@ -12,13 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alregress import (
-    NNBipartiteGraph,
-    best_subset_by_q,
-    min_total_after,
-    mmmd_decide,
-    mmtd_decide,
-)
+from alregress import NNBipartiteGraph, best_subset_by_q, min_total_after
 from alregress import exhaustive
 from alregress.exhaustive import MAX_POOL
 from alregress.validation import optimum
@@ -34,6 +28,11 @@ class TestBestSubset:
     def test_toy_pairs(self, toy_graph):
         subset, q = best_subset_by_q(toy_graph, 2)
         assert subset.tolist() == [3, 4] and q == 16.0
+
+    def test_toy_triples(self, toy_graph):
+        # 41 then keeps its labeled neighbor 40 at distance 1 (38 is 3 away)
+        subset, q = best_subset_by_q(toy_graph, 3)
+        assert subset.tolist() == [3, 4, 5] and q == 18.0
 
     def test_toy_everything(self, toy_graph):
         subset, q = best_subset_by_q(toy_graph, 4)
@@ -76,12 +75,12 @@ class TestBestSubset:
 
 
 def test_optimum_catches_weights_off_commit(toy_graph, monkeypatch):
-    # Weights a few roundings above commit's: the duality and mmtd_decide
-    # still agree, since they sum the same weights; only q_set can tell.
+    # Weights a few roundings above commit's: the duality still holds, since
+    # both sides sum the same weights; only q_set can tell.
     real = exhaustive._weights_after
 
-    def skewed(graph, sizes):
-        for subset, weights in real(graph, sizes):
+    def skewed(graph, k):
+        for subset, weights in real(graph, k):
             yield subset, weights * (1.0 + 2.0**-50)
 
     monkeypatch.setattr(exhaustive, "_weights_after", skewed)
@@ -89,10 +88,20 @@ def test_optimum_catches_weights_off_commit(toy_graph, monkeypatch):
         optimum(toy_graph, 2)
 
 
+def test_optimum_returns_best_q_and_least_total(toy_graph):
+    assert [optimum(toy_graph, k) for k in range(1, 5)] == [
+        (12.0, 7.0),
+        (16.0, 3.0),
+        (18.0, 1.0),
+        (19.0, 0.0),
+    ]
+
+
 class TestMinTotal:
     def test_toy_values(self, toy_graph):
         assert min_total_after(toy_graph, 1) == 7.0  # move 9 (or 13)
         assert min_total_after(toy_graph, 2) == 3.0  # move both
+        assert min_total_after(toy_graph, 3) == 1.0  # and 38
         assert min_total_after(toy_graph, 4) == 0.0
 
     def test_monotone_in_k(self):
@@ -103,14 +112,9 @@ class TestMinTotal:
 
 
 class TestGuard:
-    """One guard serves all four solvers: the same error for the same k."""
+    """One guard serves both solvers: the same error for the same k."""
 
-    SOLVERS = (
-        best_subset_by_q,
-        min_total_after,
-        lambda g, k: mmtd_decide(g, k, 1.0),
-        lambda g, k: mmmd_decide(g, k, 1.0),
-    )
+    SOLVERS = (best_subset_by_q, min_total_after)
 
     @pytest.mark.parametrize("k", [0, -1, 5])
     def test_k_out_of_range_is_one_error(self, toy_graph, k):
@@ -125,56 +129,23 @@ class TestGuard:
             with pytest.raises(ValueError, match="enumeration limit"):
                 solve(g, 2)
 
+    def test_pool_past_the_limit_is_refused_at_any_k(self):
+        # the limit is on the pool, not on how many subsets k would enumerate
+        X = np.random.default_rng(0).normal(size=(MAX_POOL + 3, 2))
+        g = NNBipartiteGraph.build([0, 1], np.arange(2, MAX_POOL + 3), X)
+        for solve in self.SOLVERS:
+            for k in (1, MAX_POOL + 1):
+                with pytest.raises(ValueError, match="enumeration limit"):
+                    solve(g, k)
 
-class TestTotalThreshold:
-    def test_toy_edges_of_feasibility(self, toy_graph):
-        assert mmtd_decide(toy_graph, 1, 7.0)
-        assert not mmtd_decide(toy_graph, 1, 6.99)
-        assert mmtd_decide(toy_graph, 2, 3.0)
-        assert not mmtd_decide(toy_graph, 2, 2.99)
-
-    def test_budget_allows_smaller_subsets(self, toy_graph):
-        # k=2 with sigma achievable by a single move must be feasible
-        assert mmtd_decide(toy_graph, 2, 7.0)
-
-    def test_sigma_below_best_is_infeasible(self):
-        rng = np.random.default_rng(97)
-        g, _ = random_graph(rng, n_lo=8, n_hi=12)
-        k = min(2, g.unlabeled.size)
-        floor = min(min_total_after(g, size) for size in range(1, k + 1))
-        assert mmtd_decide(g, k, floor)
-        assert not mmtd_decide(g, k, floor - 1e-6)
-
-
-class TestMaxThreshold:
-    def test_toy_edges_of_feasibility(self, toy_graph):
-        # moving 9 (or 13) leaves edges {4, 2, 1}: the best single-move max is 4
-        assert mmmd_decide(toy_graph, 1, 4.0)
-        assert not mmmd_decide(toy_graph, 1, 3.99)
-
-    def test_moving_everything_clears_all_edges(self, toy_graph):
-        assert mmmd_decide(toy_graph, 4, 0.0)
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(101)
-        for _ in range(8):
-            g, X = random_graph(rng, n_lo=8, n_hi=12)
-            k = min(2, g.unlabeled.size)
-            # reference: smallest achievable max edge over subsets of size 1..k
-            best = np.inf
-            pool = g.unlabeled.tolist()
-            for size in range(1, k + 1):
-                for combo in itertools.combinations(pool, size):
-                    rest = [u for u in pool if u not in combo]
-                    if not rest:
-                        best = min(best, 0.0)
-                        continue
-                    after = NNBipartiteGraph.build(
-                        sorted(g.labeled.tolist() + list(combo)), rest, X
-                    )
-                    best = min(best, float(after.thetas.max()))
-            assert mmmd_decide(g, k, best + 1e-9)
-            assert not mmmd_decide(g, k, best - 1e-6)
+    def test_pool_at_the_limit_is_accepted(self):
+        # MAX_POOL subsets at k = 1 and one at k = MAX_POOL: cheap at any limit
+        X = np.random.default_rng(0).normal(size=(MAX_POOL + 2, 2))
+        g = NNBipartiteGraph.build([0, 1], np.arange(2, MAX_POOL + 2), X)
+        for k in (1, MAX_POOL):
+            subset, q = best_subset_by_q(g, k)
+            assert subset.size == k and q == g.q_set(subset)
+            assert q == g.total_uncertainty() - min_total_after(g, k)
 
 
 @st.composite
@@ -195,11 +166,7 @@ class TestWeightsAlone:
     def test_solvers_equal_commit_enumeration(self, g, data):
         n = g.unlabeled.size
         k = data.draw(st.integers(1, min(3, n)))
-        by_size = {
-            size: [g.unlabeled[list(c)] for c in itertools.combinations(range(n), size)]
-            for size in range(1, k + 1)
-        }
-        exact = by_size[k]
+        exact = [g.unlabeled[list(c)] for c in itertools.combinations(range(n), k)]
         qs = [g.q_set(s) for s in exact]
         first = int(np.argmax(qs))  # the first maximum, as the solver keeps
         subset, q = best_subset_by_q(g, k)
@@ -208,12 +175,17 @@ class TestWeightsAlone:
         totals = [g.commit(s).total_uncertainty() for s in exact]
         assert min_total_after(g, k) == min(totals)
 
-        committed = [g.commit(s) for subsets in by_size.values() for s in subsets]
-        totals = [c.total_uncertainty() for c in committed]
-        maxima = [c.thetas.max(initial=0.0) for c in committed]
-        # thresholds at an achieved value and just below it split on last bits
-        sigma = data.draw(st.sampled_from(totals))
-        beta = data.draw(st.sampled_from(maxima))
-        for s, b in ((sigma, beta), (np.nextafter(sigma, -1), np.nextafter(beta, -1))):
-            assert mmtd_decide(g, k, s) == any(t <= s for t in totals)
-            assert mmmd_decide(g, k, b) == any(m <= b for m in maxima)
+    @given(g=small_graphs(), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_enumeration_is_each_k_subset_with_commits_weights(self, g, data):
+        # exactly the k-subsets, in lexicographic order of pool positions,
+        # each with commit's thetas bitwise
+        n = g.unlabeled.size
+        k = data.draw(st.integers(1, min(3, n)))
+        enumerated = list(exhaustive._weights_after(g, k))
+        expected = [g.unlabeled[list(c)] for c in itertools.combinations(range(n), k)]
+        assert [s.tolist() for s, _ in enumerated] == [s.tolist() for s in expected]
+        for subset, weights in enumerated:
+            thetas = g.commit(subset).thetas
+            assert weights.dtype == thetas.dtype
+            assert weights.tobytes() == thetas.tobytes()

@@ -27,7 +27,7 @@ from alregress import (
     run_validation,
     write_trace_log,
 )
-from alregress import experiment, regression, validation
+from alregress import exhaustive, experiment, regression, validation
 
 from conftest import openblas_cores, replay_trial, synthetic_dataset
 
@@ -792,6 +792,7 @@ class TestValidationSuite:
         assert run_validation(seed=3, echo=lines.append) == 0
         assert any("validation passed" in line for line in lines)
         assert not any(line.startswith("FAIL") for line in lines)
+        assert len(lines) == 4  # three blocks, then the verdict
 
     def test_commit_tie_bug_fails(self, monkeypatch):
         # the old tie rule, improves = best < old_theta: a tied new member
@@ -818,4 +819,21 @@ class TestValidationSuite:
         assert run_validation(seed=0, echo=lines.append) == 1
         assert lines[1] == "FAIL: prediction-shift bound violated on 2000/2000 draws"
         assert lines[2].startswith("ok: local search")
-        assert lines[3].startswith("ok: threshold")
+        assert len(lines) == 4  # three blocks, then the verdict
+
+    def test_enumeration_off_commit_fails_local_search_block_only(self, monkeypatch):
+        # the local search block is validate's one check of the exhaustive
+        # solvers: weights a few roundings above commit's must fail it there
+        real = exhaustive._weights_after
+
+        def skewed(graph, k):
+            for subset, weights in real(graph, k):
+                yield subset, weights * (1.0 + 2.0**-50)
+
+        monkeypatch.setattr(exhaustive, "_weights_after", skewed)
+        lines = []
+        assert run_validation(seed=0, echo=lines.append) == 1
+        assert lines[0].startswith("ok: commit == rebuild")
+        assert lines[1].startswith("ok: prediction-shift bound held")
+        assert lines[2] == "FAIL: enumerated q differs from q_set of the best subset"
+        assert lines[3] == "validation FAILED (1)"
