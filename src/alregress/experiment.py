@@ -27,7 +27,9 @@ computed once, before any task. A task builds its label-free rules' orders,
 then runs each of its strategies: run_trial is the same task for one
 strategy. The tasks run in forked worker processes, one per usable CPU and
 at most one per task, and come back in task order; with one usable CPU, one
-task, or no fork start method they run in that order in this process. Trials
+task, or no fork start method they run in that order in this process. A run
+holds every OpenBLAS at one thread, workers included: with every CPU busy, a
+second BLAS thread only contends for a core. Trials
 are pure functions of (dataset, config, trial seed): strategy randomness,
 oracle noise, and the split draw from separate seeded streams so noise
 settings never perturb feature-only strategies, and the report lists each
@@ -39,10 +41,13 @@ Test RMSE is always measured against noiseless ground truth.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +67,7 @@ from .datasets import (
 from .features import expand_matrix
 from .graph import NNBipartiteGraph
 from .oracle import LabelOracle, OracleConfig
-from .regression import _openblas_thread_controls, fit, predict, rmse
+from .regression import fit, predict, rmse
 from .strategies import (
     StrategyConfig,
     build_seed_set,
@@ -298,8 +303,9 @@ def run_trial(
     with a graph chain only as long as this strategy needs."""
     space = _model_space(config)
     sizes = _query_sizes(config, (strategy,), space.n)
-    start = _trial_start(space, config, trial_seed)
-    return _run_task(space, config, sizes, start, (strategy,))[0]
+    with _one_blas_thread():
+        start = _trial_start(space, config, trial_seed)
+        return _run_task(space, config, sizes, start, (strategy,))[0]
 
 
 def _insert_sorted(arr: np.ndarray, u) -> np.ndarray:
@@ -390,20 +396,64 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# The (space, config, sizes, starts) of the run whose pool forked this
-# worker; set by _adopt, in worker processes only.
-_adopted: tuple | None = None
+_openblas_lock = threading.Lock()  # held by one run at a time
+
+
+def _openblas_libraries() -> list:
+    """(path, library) of every OpenBLAS mapped into this process, by path;
+    empty when there is none or no /proc/self/maps to read."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return []
+    return [(path, ctypes.CDLL(path)) for path in sorted(paths) if path.startswith("/")]
+
+
+def _openblas_symbol(lib, stem: str):
+    """``stem`` as OpenBLAS builds export it (scipy_ prefix, 64_ suffix), or None."""
+    names = [f"{p}openblas_{stem}{s}" for p in ("scipy_", "") for s in ("64_", "")]
+    return next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+
+
+def _openblas_thread_controls() -> list:
+    """The (get, set)_num_threads pairs of every loaded OpenBLAS."""
+    controls = []
+    for _, lib in _openblas_libraries():
+        get = _openblas_symbol(lib, "get_num_threads")
+        set_threads = _openblas_symbol(lib, "set_num_threads")
+        if get is not None and set_threads is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            controls.append((get, set_threads))
+    return controls
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with every OpenBLAS on one thread, then restore each
+    library's count, also when the body raises; forks inside inherit the one
+    thread. Bodies in threads of one process take turns. With no OpenBLAS
+    found (MKL, Accelerate, no /proc), threading is left alone."""
+    with _openblas_lock:
+        controls = _openblas_thread_controls()
+        saved = [get() for get, _ in controls]
+        for _, set_threads in controls:
+            set_threads(1)
+        try:
+            yield
+        finally:
+            for (_, set_threads), count in zip(controls, saved):
+                set_threads(count)
+
+
+_adopted: tuple | None = None  # (space, config, sizes, starts), set by _adopt
 
 
 def _adopt(*run) -> None:
-    """Fork initializer: keep the run, and put every loaded OpenBLAS on one
-    thread for the worker's life. There are as many workers as usable CPUs,
-    so a second BLAS thread per worker (predict's products too, not only
-    fit's solve) would only contend for a core."""
+    """Fork initializer: keep the run; the worker forked under its BLAS cap."""
     global _adopted
     _adopted = run
-    for _, set_threads in _openblas_thread_controls():
-        set_threads(1)
 
 
 def _pooled_task(task: tuple[int, tuple[StrategyConfig, ...]]) -> list[TrialResult]:
@@ -443,13 +493,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if graph_rules:
         groups.insert(0, graph_rules)
     tasks = [(t, group) for t in range(config.trials) for group in groups]
-    starts = [
-        _trial_start(space, config, config.base_seed + t) for t in range(config.trials)
-    ]
+    seeds = range(config.base_seed, config.base_seed + config.trials)
     trials: dict[str, list[TrialResult]] = {s.kind: [] for s in config.strategies}
-    for results in _run_tasks(space, config, sizes, starts, tasks):
-        for result in results:
-            trials[result.strategy].append(result)
+    with _one_blas_thread():
+        starts = [_trial_start(space, config, seed) for seed in seeds]
+        for results in _run_tasks(space, config, sizes, starts, tasks):
+            for result in results:
+                trials[result.strategy].append(result)
 
     # trials x (rounds + 1) RMSEs per strategy
     curves = {

@@ -3,7 +3,8 @@ instances, the benchmark stand-in's graphs, the slow references for the
 near-pair list, lazy greedy, the greedy max-min-distance walk, the swap
 search, rebuilds and least squares with the checks that hold the fast paths
 to them, the replay of a harness trial on a graph, benchmark data
-discovery, and the OpenBLAS kernel the run uses, named in the report header.
+discovery, the OpenBLAS kernel the run uses, named in the report header,
+and ``blas_threads``, which runs a test with every OpenBLAS on two threads.
 
 ``random_graph`` is the library's ``validation.random_instance``, so the
 unit tests and ``al-regress validate`` draw instances the same way."""
@@ -32,7 +33,12 @@ from alregress import (
     select_greedy,
     select_ours_batch,
 )
-from alregress.regression import FLOOR_ALPHA, _openblas_libraries, _openblas_symbol
+from alregress.experiment import (
+    _openblas_libraries,
+    _openblas_symbol,
+    _openblas_thread_controls,
+)
+from alregress.regression import FLOOR_ALPHA
 from alregress.strategies import SWAP_TOL
 from alregress.validation import check_commit, check_graph
 from alregress.validation import random_instance as random_graph  # noqa: F401
@@ -51,9 +57,9 @@ BENCH_FILES = {
 
 
 def openblas_cores() -> str:
-    """"library: core" for every OpenBLAS that regression finds mapped into
+    """"library: core" for every OpenBLAS that experiment finds mapped into
     this process, the core read from its openblas_get_corename, looked up
-    under the names that regression looks the thread controls up under.
+    under the names that experiment looks the thread controls up under.
 
     Pinned lstsq and GEMM bytes hold on one kernel (AVX-512 SkylakeX) and
     not on the AVX2 ones, so the header and the failure messages of the
@@ -69,6 +75,25 @@ def openblas_cores() -> str:
 
 def pytest_report_header(config):
     return f"OpenBLAS cores: {openblas_cores()}"
+
+
+def thread_counts() -> list[int]:
+    return [get() for get, _ in _openblas_thread_controls()]
+
+
+@pytest.fixture
+def blas_threads():
+    """Every loaded OpenBLAS on two threads for the test, then back to its
+    count before; yields the (get, set) controls. Skips without OpenBLAS."""
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded: nothing sets a thread count")
+    saved = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(2)
+    yield controls
+    for (_, set_threads), count in zip(controls, saved):
+        set_threads(count)
 
 
 def data_dir() -> Path:

@@ -7,6 +7,8 @@ batch takes round-half-up(0.20 * 83) = 17 at once.
 
 import multiprocessing
 import os
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -27,9 +29,9 @@ from alregress import (
     run_validation,
     write_trace_log,
 )
-from alregress import exhaustive, experiment, regression, validation
+from alregress import exhaustive, experiment, validation
 
-from conftest import openblas_cores, replay_trial, synthetic_dataset
+from conftest import openblas_cores, replay_trial, synthetic_dataset, thread_counts
 
 
 def small_config(dataset, strategies, **overrides):
@@ -741,36 +743,26 @@ class TestParallelTrials:
         # raised in a worker: the pool chains the worker's traceback
         assert "failing_qbc" in str(err.value.__cause__)
 
-    def test_workers_run_on_one_blas_thread(self, monkeypatch, forks, tmp_path):
+    def test_workers_run_on_one_blas_thread(
+        self, monkeypatch, forks, tmp_path, blas_threads
+    ):
         # every forked task reads each OpenBLAS at one thread; the caller's
         # counts are as it set them after the run
-        controls = regression._openblas_thread_controls()
-        if not controls:
-            pytest.skip("no OpenBLAS loaded: the workers leave threading alone")
-        saved = [get() for get, _ in controls]
         real_run_task = experiment._run_task
 
         def run_task(*args):
-            counts = [get() for get, _ in controls]
             with open(tmp_path / f"{os.getpid()}.txt", "a") as fh:
-                fh.write(f"{counts}\n")
+                fh.write(f"{thread_counts()}\n")
             return real_run_task(*args)
 
         monkeypatch.setattr(experiment, "_run_task", run_task)
         usable_cpus(monkeypatch, 2)
-        for _, set_threads in controls:
-            set_threads(2)
-        try:
-            run_experiment(all_six_config(trials=2))
-            after = [get() for get, _ in controls]
-        finally:
-            for (_, set_threads), count in zip(controls, saved):
-                set_threads(count)
+        run_experiment(all_six_config(trials=2))
         assert len(forks) == 2
         seen = [line for f in tmp_path.iterdir() for line in f.read_text().splitlines()]
         assert len(seen) == 10  # 2 trials x (the graph rules + 4 baselines)
-        assert set(seen) == {str([1] * len(controls))}
-        assert after == [2] * len(controls)
+        assert set(seen) == {str([1] * len(blas_threads))}
+        assert thread_counts() == [2] * len(blas_threads)
 
     def test_one_task_starts_no_process(self, monkeypatch, forks):
         # one trial of the graph rules alone is one task; with one usable
@@ -784,6 +776,104 @@ class TestParallelTrials:
         usable_cpus(monkeypatch, 1)
         run_experiment(all_six_config())
         assert forks == []
+
+
+class TestBlasThreadCap:
+    """run_experiment and run_trial hold every OpenBLAS at one thread and
+    then give the caller's counts back; fit alone leaves them as it finds
+    them (test_regression)."""
+
+    def test_inline_run_reads_one_thread(self, monkeypatch, forks, blas_threads):
+        # one task with 2 usable CPUs runs inline: the initial fit and the
+        # task run under the run's cap, not only the solves
+        seen = []
+        for name in ("_trial_start", "_run_task"):
+
+            def spy(*args, real=getattr(experiment, name), name=name):
+                seen.append((name, thread_counts()))
+                return real(*args)
+
+            monkeypatch.setattr(experiment, name, spy)
+        usable_cpus(monkeypatch, 2)
+        config = small_config(
+            synthetic_dataset(3), ["ours_sequential", "ours_batch"], trials=1
+        )
+        run_experiment(config)
+        one = [1] * len(blas_threads)
+        assert forks == []
+        assert seen == [("_trial_start", one), ("_run_task", one)]
+        assert thread_counts() == [2] * len(blas_threads)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_counts_restored_after_a_run(self, monkeypatch, forks, blas_threads, cpus):
+        # inline (1 CPU) and pooled (2), also when a strategy raises
+        usable_cpus(monkeypatch, cpus)
+        run_experiment(all_six_config(trials=2))
+        assert thread_counts() == [2] * len(blas_threads)
+        monkeypatch.setattr(experiment, "select_qbc", failing_qbc)
+        with pytest.raises(ValueError, match="did not converge"):
+            run_experiment(all_six_config(trials=2))
+        assert thread_counts() == [2] * len(blas_threads)
+        assert len(forks) == (cpus - 1) * 4
+
+    def test_counts_restored_after_run_trial(self, monkeypatch, blas_threads):
+        config = all_six_config()
+        run_trial(config, StrategyConfig(kind="qbc"), 0)
+        assert thread_counts() == [2] * len(blas_threads)
+        monkeypatch.setattr(experiment, "select_qbc", failing_qbc)
+        with pytest.raises(ValueError, match="did not converge"):
+            run_trial(config, StrategyConfig(kind="qbc"), 0)
+        assert thread_counts() == [2] * len(blas_threads)
+
+    def test_concurrent_trials_take_turns(self, blas_threads):
+        config, strategy = all_six_config(), StrategyConfig(kind="qbc")
+        serial = run_trial(config, strategy, 0)
+        results, errors = [], []
+
+        def work():
+            try:
+                results.append(run_trial(config, strategy, 0))
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        assert len(results) == 4
+        for result in results:
+            assert_same_trial(result, serial)
+        assert thread_counts() == [2] * len(blas_threads)
+
+    def test_no_openblas_found(self, monkeypatch, blas_threads):
+        """Discovery that finds nothing (here: no /proc/self/maps) leaves
+        threading alone and the trial unchanged."""
+        config, strategy = all_six_config(), StrategyConfig(kind="qbc")
+        capped = run_trial(config, strategy, 0)
+        seen = []
+        real_trial_start = experiment._trial_start
+
+        def trial_start(*args):
+            seen.append([get() for get, _ in blas_threads])
+            return real_trial_start(*args)
+
+        def no_maps(*args, **kwargs):
+            raise OSError("no /proc on this platform")
+
+        monkeypatch.setattr(experiment, "_trial_start", trial_start)
+        monkeypatch.setattr(experiment, "open", no_maps, raising=False)
+        assert experiment._openblas_thread_controls() == []
+        bare = run_trial(config, strategy, 0)
+        assert seen == [[2] * len(blas_threads)]
+        assert_same_trial(bare, capped)
 
 
 class TestValidationSuite:

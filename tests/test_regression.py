@@ -4,9 +4,6 @@ The ridge reference solves the (D+1)-variable normal equations directly,
 with the penalty on the weights only; fit must agree to high precision.
 """
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alregress import LinearModel, fit, fit_diagnostics, predict, rmse
-from alregress import regression
 
-from conftest import lstsq_reference
+from conftest import lstsq_reference, thread_counts
 
 RMSE_3_4 = 3.5355339059327378  # sqrt((3^2 + 4^2) / 2)
 
@@ -112,82 +108,36 @@ class TestFit:
         for alpha in (np.inf, -np.inf, np.nan):
             with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
                 fit(np.ones((3, 2)), np.ones(3), alpha=alpha)
+        # a bool is a number to Python, but no penalty
+        for alpha in (True, False, "1", None):
+            with pytest.raises(ValueError, match="alpha must be a real number"):
+                fit(np.ones((3, 2)), np.ones(3), alpha=alpha)
 
-    @given(
-        alpha=st.floats(0.0, 50.0),
-        seed=st.integers(0, 10_000),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_stationarity_always_small(self, alpha, seed):
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(20, 3))
-        y = rng.normal(size=20)
-        diag = fit_diagnostics(X, y, fit(X, y, alpha=alpha))
-        assert diag.normal_equation_residual < 1e-7
+    def test_diagnostics_input_validation(self):
+        model = fit(np.ones((3, 2)), np.ones(3))
+        with pytest.raises(ValueError, match="does not match model width 2"):
+            fit_diagnostics(np.ones((3, 3)), np.ones(3), model)
+        with pytest.raises(ValueError, match="incompatible shapes"):
+            fit_diagnostics(np.ones((3, 2)), np.ones(4), model)
+        with pytest.raises(ValueError, match="incompatible shapes"):
+            fit_diagnostics(np.ones(3), np.ones(3), model)
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_diagnostics(np.array([[np.nan, 1.0]]), np.ones(1), model)
 
+    def test_leaves_thread_counts_alone(self, blas_threads, monkeypatch):
+        # outside a run, the solve runs on the caller's threads
+        inside = []
+        real_lstsq = scipy.linalg.lstsq
 
-def thread_counts():
-    return [get() for get, _ in regression._openblas_thread_controls()]
+        def lstsq(*args, **kwargs):
+            inside.append(thread_counts())
+            return real_lstsq(*args, **kwargs)
 
-
-class TestBlasThreadScope:
-    """fit solves on one OpenBLAS thread and leaves the caller's counts."""
-
-    @pytest.fixture
-    def two_threads(self):
-        controls = regression._openblas_thread_controls()
-        if not controls:
-            pytest.skip("no OpenBLAS loaded: fit leaves threading alone")
-        saved = thread_counts()
-        for _, set_threads in controls:
-            set_threads(2)
-        yield controls
-        for (_, set_threads), count in zip(controls, saved):
-            set_threads(count)
-
-    def test_counts_restored_after_fit(self, two_threads):
+        monkeypatch.setattr(scipy.linalg, "lstsq", lstsq)
         rng = np.random.default_rng(4)
         fit(rng.normal(size=(40, 6)), rng.normal(size=40), alpha=1.0)
-        assert thread_counts() == [2] * len(two_threads)
-
-    def test_counts_restored_when_solve_raises(self, two_threads, monkeypatch):
-        inside = []
-
-        def failing_lstsq(*args, **kwargs):
-            inside.append(thread_counts())
-            raise scipy.linalg.LinAlgError("SVD did not converge")
-
-        monkeypatch.setattr(scipy.linalg, "lstsq", failing_lstsq)
-        with pytest.raises(scipy.linalg.LinAlgError):
-            fit(np.ones((3, 2)), np.ones(3))
-        assert inside == [[1] * len(two_threads)]
-        assert thread_counts() == [2] * len(two_threads)
-
-    def test_counts_restored_after_concurrent_fits(self, two_threads):
-        rng = np.random.default_rng(6)
-        X, y = rng.normal(size=(20, 4)), rng.normal(size=20)
-        errors = []
-
-        def work():
-            try:
-                for _ in range(50):
-                    fit(X, y, alpha=1.0)
-            except Exception as exc:  # surfaced by the assert below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=work) for _ in range(4)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(w.is_alive() for w in workers)
-        assert errors == []
-        assert thread_counts() == [2] * len(two_threads)
+        assert inside == [[2] * len(blas_threads)]
+        assert thread_counts() == [2] * len(blas_threads)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     @pytest.mark.parametrize("D", [11, 104])
@@ -215,22 +165,17 @@ class TestBlasThreadScope:
         assert model.weights.tobytes() == w_ref.tobytes()
         assert model.bias == b_ref
 
-    def test_no_openblas_found(self, monkeypatch):
-        """Discovery that finds nothing (here: no /proc/self/maps) leaves
-        threading alone and the model unchanged."""
-        rng = np.random.default_rng(5)
-        X, y = rng.normal(size=(30, 11)), rng.normal(size=30)
-        scoped = fit(X, y, alpha=1.0)
-
-        def no_maps(*args, **kwargs):
-            raise OSError("no /proc on this platform")
-
-        monkeypatch.setattr(regression, "_openblas", None)
-        monkeypatch.setattr(regression, "open", no_maps, raising=False)
-        bare = fit(X, y, alpha=1.0)
-        assert regression._openblas == []
-        assert bare.weights.tobytes() == scoped.weights.tobytes()
-        assert bare.bias == scoped.bias
+    @given(
+        alpha=st.floats(0.0, 50.0),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stationarity_always_small(self, alpha, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(20, 3))
+        y = rng.normal(size=20)
+        diag = fit_diagnostics(X, y, fit(X, y, alpha=alpha))
+        assert diag.normal_equation_residual < 1e-7
 
 
 class TestPredict:
