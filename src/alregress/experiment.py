@@ -13,28 +13,29 @@ index order as round 1 with no queries after, and greedy its greedy_order.
 Only random, qbc and emcm pick as they go. One round loop labels every
 rule's queries.
 
-Everything a trial seed's strategies share is computed once: the split and
-the pre-query RMSE from one initial fit, and, when a graph rule is
-configured, one initial graph with one chain long enough for both graph
-rules; by the lazy-greedy prefix property its first k picks are bitwise
+A task is one trial seed and some of its strategies. It draws the seed's
+split, makes one initial fit for the pre-query RMSE, builds its label-free
+rules' orders, then runs each of its strategies. The split and the fit are
+deterministic, so every task of a seed starts from the same bits. The graph
+rules share a task, and with it one initial graph and one chain long enough
+for both; by the lazy-greedy prefix property its first k picks are bitwise
 what build_seed_set(graph, k) returns. Every strategy's query sizes depend
-only on the number of rows, so they are checked before any trial runs.
+only on the number of rows, so they are checked before any task runs.
 
-run_experiment splits a run into trial tasks, seed first: per trial seed,
-one task for the graph rules together (they share the graph and the chain)
-and one task for every other strategy. Each seed's split and initial fit are
-computed once, before any task. A task builds its label-free rules' orders,
-then runs each of its strategies: run_trial is the same task for one
-strategy. The tasks run in forked worker processes, one per usable CPU and
-at most one per task, and come back in task order; with one usable CPU, one
-task, or no fork start method they run in that order in this process. A run
-holds every OpenBLAS at one thread, workers included: with every CPU busy, a
-second BLAS thread only contends for a core. Trials
-are pure functions of (dataset, config, trial seed): strategy randomness,
-oracle noise, and the split draw from separate seeded streams so noise
-settings never perturb feature-only strategies, and the report lists each
-strategy's trials in seed order wherever they ran. So a pooled run's report
-is bitwise an inline one's.
+run_experiment splits a run into tasks, seed first: per trial seed, one task
+for the graph rules together and one for every other strategy. run_trial is
+run_experiment of one strategy for one trial. The tasks run in forked worker
+processes, one per usable CPU and at most one per task, and come back in
+task order; with one usable CPU, one task, or no fork start method they run
+in that order in this process. A run holds every OpenBLAS at one thread,
+workers included: with every CPU busy, a second BLAS thread only contends
+for a core.
+
+Trials are pure functions of (dataset, config, trial seed): strategy
+randomness, oracle noise, and the split draw from separate seeded streams so
+noise settings never perturb feature-only strategies, and the report lists
+each strategy's trials in seed order wherever they ran. So a pooled run's
+report is bitwise an inline one's.
 
 Test RMSE is always measured against noiseless ground truth.
 """
@@ -48,7 +49,7 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -185,14 +186,6 @@ def build_model_space(dataset: Dataset, regression: RegressionSpec) -> Dataset:
     return Dataset(features=Z, targets=dataset.targets, name=dataset.name)
 
 
-def _model_space(config: ExperimentConfig) -> Dataset:
-    """config's dataset, loaded if needed, in its model space."""
-    dataset = config.dataset
-    if not isinstance(dataset, Dataset):
-        dataset = load_dataset(dataset)
-    return build_model_space(dataset, config.regression)
-
-
 def _ceil_count(x: float) -> int:
     # Slack absorbs float fuzz so an exact integer product never rounds up.
     return max(1, math.ceil(x - 1e-9))
@@ -207,23 +200,13 @@ def _seed_for(trial_seed: int, salt: int, strat: StrategyConfig):
     )
 
 
-@dataclass(frozen=True)
-class _TrialStart:
-    """What every strategy of one trial seed starts from."""
-
-    split: SplitIndices
-    rmse0: float  # pre-query test RMSE
-
-
-def _query_sizes(
-    config: ExperimentConfig, strategies: tuple[StrategyConfig, ...], n: int
-) -> dict[str, int]:
+def _query_sizes(config: ExperimentConfig, n: int) -> dict[str, int]:
     """Batch size of ours_batch, queries per round of every other strategy.
     They depend only on the initial pool size, a function of n, so an
     impossible size raises here, before any trial runs."""
     pool0 = split_sizes(n)[2]
     sizes: dict[str, int] = {}
-    for strat in strategies:
+    for strat in config.strategies:
         if strat.kind == "ours_batch":
             k = strat.batch_k
             if k is None:
@@ -240,17 +223,6 @@ def _query_sizes(
                 )
             sizes[strat.kind] = per_round
     return sizes
-
-
-def _trial_start(
-    space: Dataset, config: ExperimentConfig, trial_seed: int
-) -> _TrialStart:
-    """The split and the pre-query RMSE."""
-    Z, y_true = space.features, space.targets
-    split = make_split(space.n, trial_seed)
-    labeled, test = split.initial_labeled, split.test
-    model = fit(Z[labeled], y_true[labeled], config.regression.resolved_alpha())
-    return _TrialStart(split, rmse(predict(model, Z[test]), y_true[test]))
 
 
 def _orders(
@@ -281,15 +253,21 @@ def _run_task(
     space: Dataset,
     config: ExperimentConfig,
     sizes: dict[str, int],
-    start: _TrialStart,
+    trial_seed: int,
     strategies: tuple[StrategyConfig, ...],
 ) -> list[TrialResult]:
-    """One trial seed's ``strategies`` from its ``start``, with the orders
-    they need: the unit run_experiment hands to a worker."""
+    """One trial seed's ``strategies``: the seed's split, its pre-query RMSE
+    from one initial fit, the orders its label-free rules need, then each
+    strategy's trial. The unit run_experiment hands to a worker."""
+    Z, y_true = space.features, space.targets
+    split = make_split(space.n, trial_seed)
+    labeled, test = split.initial_labeled, split.test
+    model = fit(Z[labeled], y_true[labeled], config.regression.resolved_alpha())
+    rmse0 = rmse(predict(model, Z[test]), y_true[test])
     own = {s.kind: sizes[s.kind] for s in strategies}
-    orders = _orders(space, config, start.split, own)
+    orders = _orders(space, config, split, own)
     return [
-        _run_from_start(space, config, s, start, sizes[s.kind], orders.get(s.kind))
+        _run_strategy(space, config, s, split, rmse0, own[s.kind], orders.get(s.kind))
         for s in strategies
     ]
 
@@ -297,15 +275,10 @@ def _run_task(
 def run_trial(
     config: ExperimentConfig, strategy: StrategyConfig, trial_seed: int
 ) -> TrialResult:
-    """One seeded trial of one strategy. Loads the dataset if needed.
-
-    The serial single-strategy reference for run_experiment: the same task,
-    with a graph chain only as long as this strategy needs."""
-    space = _model_space(config)
-    sizes = _query_sizes(config, (strategy,), space.n)
-    with _one_blas_thread():
-        start = _trial_start(space, config, trial_seed)
-        return _run_task(space, config, sizes, start, (strategy,))[0]
+    """One seeded trial of one strategy: run_experiment of ``strategy``
+    alone for one trial, with base_seed ``trial_seed``."""
+    one = replace(config, strategies=(strategy,), trials=1, base_seed=trial_seed)
+    return run_experiment(one).trials[strategy.kind][0]
 
 
 def _insert_sorted(arr: np.ndarray, u) -> np.ndarray:
@@ -315,30 +288,30 @@ def _insert_sorted(arr: np.ndarray, u) -> np.ndarray:
     return np.concatenate((arr[:pos], [u], arr[pos:]))
 
 
-def _run_from_start(
+def _run_strategy(
     space: Dataset,
     config: ExperimentConfig,
     strategy: StrategyConfig,
-    start: _TrialStart,
+    split: SplitIndices,
+    rmse0: float,
     size: int,
     order: tuple[np.ndarray, np.ndarray] | None,
 ) -> TrialResult:
-    """One strategy's trial from its seed's start. A round takes ``size``
-    queries, from ``order`` while it lasts or from the strategy's selector
-    when it is None, and refits only if it added a label: an ours_batch
-    order of ``size`` queries fills round 1, and later rounds carry its
-    RMSE."""
+    """One strategy's trial from its seed's ``split`` and pre-query RMSE
+    ``rmse0``. A round takes ``size`` queries, from ``order`` while it lasts
+    or from the strategy's selector when it is None, and refits only if it
+    added a label: an ours_batch order of ``size`` queries fills round 1,
+    and later rounds carry its RMSE."""
     Z, y_true = space.features, space.targets
-    trial_seed = start.split.seed
-    test = start.split.test
-    labeled, pool = start.split.initial_labeled, start.split.unlabeled_pool  # sorted
+    trial_seed, test = split.seed, split.test
+    labeled, pool = split.initial_labeled, split.unlabeled_pool  # sorted
     y_work = y_true.copy()
     alpha = config.regression.resolved_alpha()
 
     oracle = LabelOracle(config.oracle, _seed_for(trial_seed, _ORACLE_SALT, strategy))
     rng = np.random.default_rng(_seed_for(trial_seed, _STRATEGY_RNG_SALT, strategy))
 
-    rmses = [start.rmse0]
+    rmses = [rmse0]
     queried: list[int] = []
     scores: list[float] = []
     query_rounds: list[int] = []
@@ -447,7 +420,7 @@ def _one_blas_thread():
                 set_threads(count)
 
 
-_adopted: tuple | None = None  # (space, config, sizes, starts), set by _adopt
+_adopted: tuple | None = None  # (space, config, sizes), set by _adopt
 
 
 def _adopt(*run) -> None:
@@ -457,23 +430,21 @@ def _adopt(*run) -> None:
 
 
 def _pooled_task(task: tuple[int, tuple[StrategyConfig, ...]]) -> list[TrialResult]:
-    space, config, sizes, starts = _adopted
-    t, strategies = task
-    return _run_task(space, config, sizes, starts[t], strategies)
+    return _run_task(*_adopted, *task)
 
 
-def _run_tasks(space, config, sizes, starts, tasks) -> list[list[TrialResult]]:
+def _run_tasks(space, config, sizes, tasks) -> list[list[TrialResult]]:
     """Every task's results, in task order. Forked workers inherit the run,
     so only tasks and results are pickled; the pool is shut down and every
     worker joined before this returns or raises."""
     workers = min(_usable_cpus(), len(tasks))
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_run_task(space, config, sizes, starts[t], s) for t, s in tasks]
+        return [_run_task(space, config, sizes, *task) for task in tasks]
     pool = ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_adopt,
-        initargs=(space, config, sizes, starts),
+        initargs=(space, config, sizes),
     )
     try:
         return list(pool.map(_pooled_task, tasks))
@@ -484,20 +455,23 @@ def _run_tasks(space, config, sizes, starts, tasks) -> list[list[TrialResult]]:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """All trials of all configured strategies, plus aggregate curves and the
     first/second/others ranking of the first-listed strategy at the standard
-    checkpoints. Trial t of every strategy shares seed base_seed + t and one
-    _TrialStart, so comparisons are paired."""
-    space = _model_space(config)
-    sizes = _query_sizes(config, config.strategies, space.n)
+    checkpoints. Trial t of every strategy runs from seed base_seed + t: the
+    same split and the same pre-query fit, whichever task draws them, so
+    comparisons are paired."""
+    dataset = config.dataset
+    if not isinstance(dataset, Dataset):
+        dataset = load_dataset(dataset)
+    space = build_model_space(dataset, config.regression)
+    sizes = _query_sizes(config, space.n)
     graph_rules = tuple(s for s in config.strategies if s.kind in _GRAPH_RULES)
     groups = [(s,) for s in config.strategies if s.kind not in _GRAPH_RULES]
     if graph_rules:
         groups.insert(0, graph_rules)
-    tasks = [(t, group) for t in range(config.trials) for group in groups]
     seeds = range(config.base_seed, config.base_seed + config.trials)
+    tasks = [(seed, group) for seed in seeds for group in groups]
     trials: dict[str, list[TrialResult]] = {s.kind: [] for s in config.strategies}
     with _one_blas_thread():
-        starts = [_trial_start(space, config, seed) for seed in seeds]
-        for results in _run_tasks(space, config, sizes, starts, tasks):
+        for results in _run_tasks(space, config, sizes, tasks):
             for result in results:
                 trials[result.strategy].append(result)
 

@@ -50,9 +50,18 @@ class BoundDiagnostic:
         return self.lambda_max * self.l1_distance
 
 
+def _index_values(idx, name: str) -> np.ndarray:
+    """``idx`` as a flat int64 array. Float input, which a cast would
+    truncate, and bool input, which it would read as 0 and 1, raise; empty
+    input passes, whatever its dtype."""
+    arr = np.asarray(idx)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"{name} indices must be integers, got {arr.dtype}")
+    return arr.astype(np.int64, copy=False).ravel()
+
+
 def _as_index_array(idx, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(idx, dtype=np.int64).ravel()
-    arr = np.sort(arr)
+    arr = np.sort(_index_values(idx, name))
     if arr.size != np.unique(arr).size:
         raise ValueError(f"{name} indices contain duplicates")
     if arr.size and (arr[0] < 0 or arr[-1] >= n):
@@ -259,7 +268,7 @@ class NNBipartiteGraph:
     # -- uncertainty reduction -------------------------------------------
 
     def _subset_positions(self, subset) -> np.ndarray:
-        S = np.asarray(subset, dtype=np.int64).ravel()
+        S = _index_values(subset, "subset")
         if S.size == 0:
             raise ValueError("subset must be nonempty")
         S = np.sort(S)
@@ -278,7 +287,7 @@ class NNBipartiteGraph:
     def q_single(self, u: int) -> float:
         """Uncertainty reduction from moving one point: its own weight plus
         every indirect shrink it causes. Equal to q_set on the singleton."""
-        return self.q_set(np.asarray([u], dtype=np.int64))
+        return self.q_set([u])
 
     def q_values(self) -> np.ndarray:
         """q_single for every unlabeled point, aligned with ``unlabeled``.

@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from alregress import BoundDiagnostic, LinearModel, NNBipartiteGraph, check_bound, fit
+from alregress import (
+    BoundDiagnostic,
+    LinearModel,
+    NNBipartiteGraph,
+    check_bound,
+    fit,
+    select_ours_batch,
+)
 from alregress import graph as graph_module
 from alregress.graph import q_columns
 
@@ -369,6 +376,56 @@ class TestCommit:
         assert g.unlabeled.size == 0
         assert g.total_uncertainty() == 0.0
         assert g.labeled.tolist() == [0, 1, 2, 3, 4, 5, 6]
+
+
+class TestIndexInputs:
+    """Index arguments hold integers. A cast would truncate a float (0.9 to
+    row 0, 1.7 to row 1) and read a bool as row 0 or 1, so both raise; any
+    integer dtype passes, and so does empty input where a set may be empty."""
+
+    X = np.arange(14.0).reshape(7, 2)
+
+    @pytest.mark.parametrize("bad,dtype", [
+        ([0.9], "float64"), (np.array([1.0]), "float64"), ([True], "bool"),
+    ])
+    def test_build(self, bad, dtype):
+        with pytest.raises(
+            ValueError, match=f"^labeled indices must be integers, got {dtype}$"
+        ):
+            NNBipartiteGraph.build(bad, [2, 3], self.X)
+        with pytest.raises(
+            ValueError, match=f"^unlabeled indices must be integers, got {dtype}$"
+        ):
+            NNBipartiteGraph.build([4], bad, self.X)
+
+    def test_build_takes_any_integer_dtype_and_an_empty_pool(self):
+        g = NNBipartiteGraph.build(
+            np.array([0], dtype=np.int32), np.array([1, 2], dtype=np.uint8), self.X
+        )
+        assert g.labeled.dtype == g.unlabeled.dtype == np.int64
+        assert g.unlabeled.tolist() == [1, 2]
+        assert NNBipartiteGraph.build([0], np.array([]), self.X).unlabeled.size == 0
+
+    @pytest.mark.parametrize("bad,dtype", [
+        ([3.7], "float64"), (np.array([4.0]), "float64"), ([True], "bool"),
+    ])
+    def test_subset_arguments(self, toy_graph, bad, dtype):
+        message = f"^subset indices must be integers, got {dtype}$"
+        for call in (
+            toy_graph.commit,
+            toy_graph.q_set,
+            lambda s: toy_graph.q_single(s[0]),
+            lambda s: select_ours_batch(toy_graph, 1, seed_set=s),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call(bad)
+
+    def test_integer_subsets_still_score(self, toy_graph):
+        assert toy_graph.q_single(np.int32(3)) == 12.0
+        assert toy_graph.q_set(np.array([5, 6], dtype=np.uint16)) == 3.0
+        assert toy_graph.commit(np.int64(3)).labeled.tolist() == [0, 1, 2, 3]
+        with pytest.raises(ValueError, match="^subset must be nonempty$"):
+            toy_graph.q_set([])
 
 
 class TestBound:

@@ -146,6 +146,18 @@ class TestSequentialTrial:
         ]
         assert first[0] == first[1] == first[2]
 
+    @pytest.mark.parametrize("seed,message", [
+        (True, "base_seed must be an integer, got True"),
+        (2.0, "base_seed must be an integer, got 2.0"),
+        (-1, "base_seed must be >= 0"),
+    ])
+    def test_trial_seed_checked_as_base_seed(self, seed, message):
+        # a one-trial run: a bool seed no longer runs seed 1, and numpy no
+        # longer raises its own TypeError or ValueError
+        config = small_config(synthetic_dataset(4), ["random"])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_trial(config, config.strategies[0], trial_seed=seed)
+
     def test_pool_exhaustion_rejected(self):
         config = small_config(synthetic_dataset(6, n=30), ["random"], rounds=25)
         with pytest.raises(ValueError, match="cannot supply"):
@@ -764,6 +776,31 @@ class TestParallelTrials:
         assert set(seen) == {str([1] * len(blas_threads))}
         assert thread_counts() == [2] * len(blas_threads)
 
+    def test_pooled_caller_fits_nothing(self, monkeypatch, forks, tmp_path):
+        # each task draws its seed's split and makes its initial fit in the
+        # worker: the caller forks before any split or fit
+        calls = Counter()
+
+        def spy(name, real):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                with open(tmp_path / f"{os.getpid()}.{name}", "a") as fh:
+                    fh.write("1")
+                return real(*args, **kwargs)
+
+            return counted
+
+        for name in ("fit", "make_split"):
+            monkeypatch.setattr(experiment, name, spy(name, getattr(experiment, name)))
+        usable_cpus(monkeypatch, 2)
+        run_experiment(all_six_config(trials=2))
+        assert len(forks) == 2
+        assert calls == Counter()
+        splits = [f for f in tmp_path.iterdir() if f.suffix == ".make_split"]
+        # in the workers: one split per task, 2 trials x 5 tasks
+        assert sum(len(f.read_text()) for f in splits) == 10
+        assert any(f.suffix == ".fit" for f in tmp_path.iterdir())
+
     def test_one_task_starts_no_process(self, monkeypatch, forks):
         # one trial of the graph rules alone is one task; with one usable
         # CPU the six-strategy run's 15 tasks also run in this process
@@ -784,10 +821,10 @@ class TestBlasThreadCap:
     them (test_regression)."""
 
     def test_inline_run_reads_one_thread(self, monkeypatch, forks, blas_threads):
-        # one task with 2 usable CPUs runs inline: the initial fit and the
-        # task run under the run's cap, not only the solves
+        # one task with 2 usable CPUs runs inline: the task, its initial fit
+        # first, runs under the run's cap, not only the solves
         seen = []
-        for name in ("_trial_start", "_run_task"):
+        for name in ("_run_task", "fit"):
 
             def spy(*args, real=getattr(experiment, name), name=name):
                 seen.append((name, thread_counts()))
@@ -801,7 +838,8 @@ class TestBlasThreadCap:
         run_experiment(config)
         one = [1] * len(blas_threads)
         assert forks == []
-        assert seen == [("_trial_start", one), ("_run_task", one)]
+        assert seen[:2] == [("_run_task", one), ("fit", one)]
+        assert all(counts == one for _, counts in seen)
         assert thread_counts() == [2] * len(blas_threads)
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -859,16 +897,16 @@ class TestBlasThreadCap:
         config, strategy = all_six_config(), StrategyConfig(kind="qbc")
         capped = run_trial(config, strategy, 0)
         seen = []
-        real_trial_start = experiment._trial_start
+        real_run_task = experiment._run_task
 
-        def trial_start(*args):
+        def run_task(*args):
             seen.append([get() for get, _ in blas_threads])
-            return real_trial_start(*args)
+            return real_run_task(*args)
 
         def no_maps(*args, **kwargs):
             raise OSError("no /proc on this platform")
 
-        monkeypatch.setattr(experiment, "_trial_start", trial_start)
+        monkeypatch.setattr(experiment, "_run_task", run_task)
         monkeypatch.setattr(experiment, "open", no_maps, raising=False)
         assert experiment._openblas_thread_controls() == []
         bare = run_trial(config, strategy, 0)
