@@ -70,6 +70,7 @@ from .graph import NNBipartiteGraph
 from .oracle import LabelOracle, OracleConfig
 from .regression import fit, predict, rmse
 from .strategies import (
+    STRATEGY_KINDS,
     StrategyConfig,
     build_seed_set,
     greedy_order,
@@ -86,14 +87,6 @@ REGRESSION_KINDS = ("linear", "ridge", "polynomial")
 # Fixed salts keep the split, strategy, and oracle streams independent.
 _STRATEGY_RNG_SALT = 202
 _ORACLE_SALT = 101
-_STRATEGY_CODES = {
-    "ours_sequential": 1,
-    "ours_batch": 2,
-    "random": 3,
-    "greedy": 4,
-    "qbc": 5,
-    "emcm": 6,
-}
 
 # The paper's protocol: a sequential round queries 2% of the initial pool, and
 # the up-front batch takes 20% of it.
@@ -139,8 +132,23 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self):
+        for name, kinds in (
+            ("dataset", (Dataset, DatasetManifest)),
+            ("regression", (RegressionSpec,)),
+            ("oracle", (OracleConfig,)),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kinds):
+                want = " or ".join(k.__name__ for k in kinds)
+                raise ValueError(f"{name} must be {want}, got {type(value).__name__}")
         if not self.strategies:
             raise ValueError("strategy list must not be empty")
+        for strat in self.strategies:
+            if not isinstance(strat, StrategyConfig):
+                raise ValueError(
+                    "strategies entries must be StrategyConfig, got "
+                    f"{type(strat).__name__}"
+                )
         kinds = [s.kind for s in self.strategies]
         if len(set(kinds)) != len(kinds):
             raise ValueError("duplicate strategy kinds in one experiment")
@@ -195,9 +203,10 @@ def _seed_for(trial_seed: int, salt: int, strat: StrategyConfig):
     # Keep the trailing 0: pinned outputs were drawn with it. SeedSequence
     # hashes zeros into the pool words that short entropy leaves empty, so it is
     # a no-op for trial seeds below 2**32; from 2**32 on it changes every draw.
-    return np.random.SeedSequence(
-        [int(trial_seed), salt, _STRATEGY_CODES[strat.kind], 0]
-    )
+    # A strategy's code is its place in STRATEGY_KINDS, from 1, which pins
+    # that order.
+    code = STRATEGY_KINDS.index(strat.kind) + 1
+    return np.random.SeedSequence([int(trial_seed), salt, code, 0])
 
 
 def _query_sizes(config: ExperimentConfig, n: int) -> dict[str, int]:

@@ -21,20 +21,15 @@ from scipy.spatial.distance import cdist
 BOUND_TOL = 1e-12
 
 # Pairwise distances a blocked scan holds at once: near_pairs, which lazy
-# greedy and the swap search read, measures each block of candidates
-# against only the rows its anchors can reach, in cdist rectangles of at
-# most this many distances, and its anchor-to-anchor distances in blocks
-# that hold this many with their bounds; q_columns, the dense reference
-# behind q_values, scores max(1, _DIST_BUDGET // rows) candidate columns.
+# greedy and the swap search read, measures each anchor group's candidates
+# against only the rows its anchor can reach, in cdist rectangles of at
+# most this many distances; q_columns, the dense reference behind
+# q_values, scores max(1, _DIST_BUDGET // rows) candidate columns.
 _DIST_BUDGET = 1 << 18
 
 # Relative slack of near_pairs' anchor test for float rounding (derived in
 # near_pairs); it covers feature widths up to about 10**6.
 _PRUNE_SLACK = 1e-9
-
-# About the time of one more cdist call of near_pairs, in distances: two
-# anchor groups share a block when that measures no more extra distances.
-_CALL_DISTANCES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -96,66 +91,31 @@ def q_columns(rows, thetas, candidates) -> np.ndarray:
     return out
 
 
-def _anchor_reach(features, nn, thetas):
-    """The pool's anchor groups and which of them can pair (see near_pairs).
-
-    Returns ``group``, each pool position's group, numbered in ascending
-    anchor order; ``sizes``, the group sizes; ``reach``, where reach[m, l]
-    is False only if no group-l row can be near a group-m candidate; and
-    ``widths``, the pool rows each group reaches. The anchor distances come
-    in blocks that hold, with their bounds, one _DIST_BUDGET.
-    """
-    anchors, group = np.unique(nn, return_inverse=True)
-    radius = np.zeros(anchors.size)
-    np.maximum.at(radius, group, thetas)
-    sizes = np.bincount(group, minlength=anchors.size)
-    A = features[anchors]
-    reach = np.empty((anchors.size, anchors.size), dtype=bool)
-    widths = np.empty(anchors.size, dtype=np.int64)
-    step = max(1, _DIST_BUDGET // max(2 * anchors.size, 1))
-    for s in range(0, anchors.size, step):
-        bound = radius[s : s + step, None] + 2.0 * radius
-        bound *= 1.0 + _PRUNE_SLACK
-        reach[s : s + step] = cdist(A[s : s + step], A, "cityblock") < bound
-        widths[s : s + step] = reach[s : s + step] @ sizes
-    return group, sizes, reach, widths
-
-
 def _near_pair_pieces(features, unlabeled, nn, thetas, ptr) -> list:
     """near_pairs' pairs as (candidates, rows, dist) pieces, candidate by
     candidate, each candidate u's pair count written to ptr[u + 1].
 
-    Candidates come in whole anchor groups, ascending within each. A group
-    joins the block before it while the block's rectangle, its candidates
-    by the union of its groups' reachable rows, fits _DIST_BUDGET and grows
-    by no more than _CALL_DISTANCES over the two rectangles apart. Larger
-    rectangles go to cdist in candidate slices of at most _DIST_BUDGET.
+    One anchor group at a time, in ascending anchor order: one cdist row
+    from its anchor to every anchor picks the groups whose rows it can
+    reach (see near_pairs), and its candidates, ascending, meet those rows
+    in cdist slices of at most _DIST_BUDGET distances.
     """
     X, n = features[unlabeled], thetas.size
-    group, sizes, reach, widths = _anchor_reach(features, nn, thetas)
-    widths, counts = widths.tolist(), sizes.tolist()
-    first = [0, *np.cumsum(sizes).tolist()]
-    order = np.argsort(group, kind="stable")  # group by group, ascending
+    anchors, group = np.unique(nn, return_inverse=True)
+    radius = np.zeros(anchors.size)
+    np.maximum.at(radius, group, thetas)
+    A = features[anchors]
     pieces = []
-    g = 0
-    while g < sizes.size:
-        span = merged = reach[g]
-        width = merged_width = widths[g]
-        area, h = counts[g] * width, g + 1
-        while h < sizes.size:
-            if width < n:  # a full span stays full
-                merged = span | reach[h]
-                merged_width = int(sizes @ merged)
-            grown = (first[h + 1] - first[g]) * merged_width
-            apart = area + counts[h] * widths[h]
-            if grown > min(_DIST_BUDGET, apart + _CALL_DISTANCES):
-                break
-            span, width, area, h = merged, merged_width, grown, h + 1
-        cands, g = order[first[g] : first[h]], h
+    for m in range(anchors.size):
+        cands = np.flatnonzero(group == m)  # ascending positions
+        bound = radius[m] + 2.0 * radius
+        bound *= 1.0 + _PRUNE_SLACK
+        reach = cdist(A[m : m + 1], A, "cityblock")[0] < bound
+        rows = np.flatnonzero(reach[group])  # ascending positions
+        width = rows.size
         if width == n:  # nothing pruned: no gather, no row map
             XR, TR, rows = X, thetas, None
         elif width:
-            rows = np.flatnonzero(span[group])  # ascending positions
             XR, TR = X[rows], thetas[rows]
         else:
             continue
@@ -325,13 +285,13 @@ class NNBipartiteGraph:
 
             d(a_m, a_l) <= theta_u + d(u, j) + theta_j < R_m + 2 R_l,
 
-        so a block of candidate groups needs only the rows of the groups l
-        with d(a_m, a_l) < (R_m + 2 R_l)(1 + _PRUNE_SLACK) for one of its
-        anchors m. Those distances come from the same cdist calls as a
-        full scan, so each measured pair keeps its bits, and d < thetas[j]
-        alone decides which are kept: the list is the full scan's bit for
-        bit. About a fifth of pool x pool is measured at the whitewine
-        stand-in; all of it when the labeled set lies far from the pool.
+        so a group's candidates need only the rows of the groups l with
+        d(a_m, a_l) < (R_m + 2 R_l)(1 + _PRUNE_SLACK). Those distances come
+        from the same cdist calls as a full scan, so each measured pair
+        keeps its bits, and d < thetas[j] alone decides which are kept: the
+        list is the full scan's bit for bit. About a fifth of pool x pool
+        is measured at the whitewine stand-in; all of it when the labeled
+        set lies far from the pool.
 
         The slack covers rounding. A computed L1 distance over D columns is
         within gamma_D = D u / (1 - D u), u = 2**-53, of the exact one,

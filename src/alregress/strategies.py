@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .datasets import require_int
-from .graph import NNBipartiteGraph, _pair_index
+from .graph import NNBipartiteGraph, _index_values, _pair_index
 from .regression import fit, predict
 
 # Minimum strict improvement for a batch swap to be accepted.
@@ -30,6 +30,8 @@ COMMITTEE_SIZE = 4
 # one block; a block has at least one candidate or row.
 _SWAP_BLOCK = 1 << 16
 
+# The order is pinned: experiment._seed_for numbers each kind's random
+# streams by its place here, and the pinned outputs were drawn with it.
 STRATEGY_KINDS = (
     "ours_sequential",
     "ours_batch",
@@ -409,7 +411,7 @@ class _SwapSearch:
 
 def select_random(unlabeled: np.ndarray, rng: np.random.Generator) -> SelectionTrace:
     """Uniform draw from the pool."""
-    unlabeled = np.asarray(unlabeled, dtype=np.int64)
+    unlabeled = _index_values(unlabeled, "unlabeled")
     if unlabeled.size == 0:
         raise ValueError("cannot select from an empty pool")
     return SelectionTrace(chosen=int(rng.choice(unlabeled)), score=0.0)
@@ -427,8 +429,8 @@ def greedy_order(
     bitwise a fresh scan's, since a minimum is exact and cdist computes each
     pair on its own. So a shorter order is a prefix of a longer one.
     """
-    labeled = np.asarray(labeled, dtype=np.int64)
-    pool = np.asarray(unlabeled, dtype=np.int64)
+    labeled = _index_values(labeled, "labeled")
+    pool = _index_values(unlabeled, "unlabeled")
     if not 1 <= n <= pool.size:
         raise ValueError(f"n={n} outside 1..{pool.size}")
     if labeled.size == 0:
@@ -464,8 +466,8 @@ def _committee(features, labels, labeled, unlabeled, rng, alpha, emcm):
     the pool with each; emcm's model on the whole labeled set draws nothing.
     Returns the pool point of the largest score, ties to the first.
     """
-    labeled = np.asarray(labeled, dtype=np.int64)
-    unlabeled = np.asarray(unlabeled, dtype=np.int64)
+    labeled = _index_values(labeled, "labeled")
+    unlabeled = _index_values(unlabeled, "unlabeled")
     if unlabeled.size == 0:
         raise ValueError("cannot select from an empty pool")
     X_lab, y_lab, X_pool = features[labeled], labels[labeled], features[unlabeled]

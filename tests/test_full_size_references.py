@@ -4,9 +4,9 @@ references at full size.
 Everywhere else the fast paths meet their references on small instances.
 Here they meet them on the protocol's full sizes: the graph-whitewine
 benchmark stand-in (a 3,380-point pool) at split seeds 0 and 1, with the
-batch at k = 676 and a greedy trial's 680 picks. The references take
-minutes (about 4 in all on 2 vCPUs), so the test runs only when
-ALREGRESS_FULL_REFERENCES is set:
+batch at k = 676 and a greedy trial's 680 picks, and the near-pair list
+alone at split seed 2 too. The references take minutes (about 3.5 in all
+on 2 vCPUs), so the test runs only when ALREGRESS_FULL_REFERENCES is set:
 
     ALREGRESS_FULL_REFERENCES=1 PYTHONPATH=src python -m pytest -q \\
         tests/test_full_size_references.py
@@ -36,7 +36,7 @@ GREEDY_PICKS = 680
     not os.environ.get("ALREGRESS_FULL_REFERENCES"),
     reason="set ALREGRESS_FULL_REFERENCES=1 to check near_pairs, "
     "build_seed_set, select_ours_batch and greedy_order against their slow "
-    "references at full size (about 4 minutes)",
+    "references at full size (about 3.5 minutes)",
 )
 def test_slow_references_at_full_size():
     for split_seed in (0, 1):  # in one test, so that the skip counts once
@@ -50,3 +50,5 @@ def test_slow_references_at_full_size():
         assert_matches_dense(g, build_seed_set(g, FULL_K)[0])
         # a fresh greedy scan of the sets each step has reached
         assert_greedy_is_fresh_scans(g.features, g.labeled, g.unlabeled, GREEDY_PICKS)
+    # the near-pair list, which every graph rule reads, at a third split
+    assert_near_pairs_are_reference(whitewine_stand_in_graph(2))

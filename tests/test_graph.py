@@ -264,15 +264,14 @@ class TestNearPairs:
         pool = g.unlabeled.size
         assert sum(sizes) < pool * pool / 2, f"{sum(sizes)} of {pool}^2"
 
-    def test_collinear_anchors_at_the_triangle_bound(self, monkeypatch):
+    def test_collinear_anchors_at_the_triangle_bound(self):
         # On a line, with integers, d(a_m, a_l) = theta_u + d(u, j) + theta_j
         # exactly. Anchors 0 and 9k; u = 2k (theta 2k) and j = 5k (theta
         # 4k) pair up, d(u, j) = 3k < 4k. The anchor distance, 9k, passes
         # R_m + 2 R_l = 10k but not 2 R_m + R_l = 8k, the bound with the
         # group roles swapped, nor R_m + R_l. Each copy sits 100 units up
-        # the second axis from the one before. No block merges two groups,
-        # so each group's anchor test alone picks the rows it measures.
-        monkeypatch.setattr(graph_module, "_CALL_DISTANCES", 0)
+        # the second axis from the one before. Each group's anchor test
+        # alone picks the rows it measures.
         copies = range(1, 6)
         X = np.array(
             [[x * k, 100.0 * k] for k in copies for x in (0, 9, 2, 5)]

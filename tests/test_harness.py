@@ -102,6 +102,23 @@ class TestExperimentConfig:
                 small_config(ds, ["random"], **{field: value})
         assert getattr(small_config(ds, ["random"], **{field: np.int64(2)}), field) == 2
 
+    def test_rejects_fields_of_the_wrong_type(self):
+        # each used to pass here and fail inside run_experiment with an
+        # AttributeError that named no field
+        ds = synthetic_dataset(0)
+        for overrides, message in (
+            ({"dataset": "whitewine"},
+             "^dataset must be Dataset or DatasetManifest, got str$"),
+            ({"regression": "ridge"}, "^regression must be RegressionSpec, got str$"),
+            ({"oracle": "gaussian"}, "^oracle must be OracleConfig, got str$"),
+            ({"strategies": ("random",)},
+             "^strategies entries must be StrategyConfig, got str$"),
+        ):
+            kwargs = dict(dataset=ds, strategies=(StrategyConfig(kind="random"),))
+            kwargs.update(overrides)
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig(**kwargs)
+
 
 class TestModelSpace:
     def test_identity_space_is_standardized(self):

@@ -257,6 +257,74 @@ class TestRandom:
             select_random(np.array([], dtype=np.int64), np.random.default_rng(0))
 
 
+class TestIndexInputs:
+    """The baselines' index arguments hold integers, as the graph's do. A
+    cast would truncate a float (2.5 to row 2) and read a bool as row 0 or
+    1, so both raise; any integer dtype passes."""
+
+    X = np.random.default_rng(79).normal(size=(8, 2))
+    y = X[:, 0] - X[:, 1]
+
+    def test_the_truncating_calls_raise(self):
+        # at the cast these picked rows 2, 1, [3, 1] and 4
+        X, y, rng = self.X, self.y, np.random.default_rng(0)
+        with pytest.raises(ValueError, match="^unlabeled indices"):
+            select_random(np.array([0.9, 2.5]), rng)
+        with pytest.raises(ValueError, match="^unlabeled indices"):
+            select_random([True, True], rng)
+        with pytest.raises(ValueError, match="^labeled indices"):
+            greedy_order(X, [0.5], [1.7, 2.2, 3.9], 2)
+        with pytest.raises(ValueError, match="^labeled indices"):
+            select_qbc(X, y, [0.2, 1.9, 2.1], [3.7, 4.2], rng)
+
+    @pytest.mark.parametrize("bad,dtype", [
+        ([0.5, 2.5], "float64"), (np.array([6.0, 7.0]), "float64"),
+        ([True, True], "bool"),
+    ])
+    @pytest.mark.parametrize("side", ["labeled", "unlabeled"])
+    def test_floats_and_bools_raise(self, bad, dtype, side):
+        X, y, rng = self.X, self.y, np.random.default_rng(0)
+        lab, unl = [0, 1, 2], [4, 5, 6]
+        lab, unl = (bad, unl) if side == "labeled" else (lab, bad)
+        calls = [
+            lambda: greedy_order(X, lab, unl, 1),
+            lambda: select_qbc(X, y, lab, unl, rng),
+            lambda: select_emcm(X, y, lab, unl, rng),
+        ]
+        if side == "unlabeled":
+            calls.append(lambda: select_random(unl, rng))
+        for call in calls:
+            with pytest.raises(
+                ValueError, match=f"^{side} indices must be integers, got {dtype}$"
+            ):
+                call()
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+    def test_any_integer_dtype_picks_as_int64(self, dtype):
+        X, y = self.X, self.y
+        lab, unl = [0, 1, 2], [3, 4, 5, 6, 7]
+        lab_t, unl_t = np.array(lab, dtype=dtype), np.array(unl, dtype=dtype)
+        got, want = greedy_order(X, lab_t, unl_t, 3), greedy_order(X, lab, unl, 3)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tobytes() == want[1].tobytes()
+        for select in (select_qbc, select_emcm):
+            assert select(X, y, lab_t, unl_t, np.random.default_rng(3)) == select(
+                X, y, lab, unl, np.random.default_rng(3)
+            )
+        assert select_random(unl_t, np.random.default_rng(4)) == select_random(
+            unl, np.random.default_rng(4)
+        )
+
+    def test_empty_input_as_before(self):
+        # an empty list is a float array to numpy; it still reads as empty
+        with pytest.raises(ValueError, match="empty pool"):
+            select_random([], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="nonempty labeled set"):
+            greedy_order(self.X, [], [3, 4], 1)
+        with pytest.raises(ValueError, match="empty pool"):
+            select_qbc(self.X, self.y, [0, 1, 2], [], np.random.default_rng(0))
+
+
 def _replay_bootstrap(features, labels, labeled, unlabeled, members, alpha, seed):
     """Reference committee: same draw discipline, plain loops."""
     rng = np.random.default_rng(seed)
