@@ -27,9 +27,9 @@ for the graph rules together and one for every other strategy. run_trial is
 run_experiment of one strategy for one trial. The tasks run in forked worker
 processes, one per usable CPU and at most one per task, and come back in
 task order; with one usable CPU, one task, or no fork start method they run
-in that order in this process. A run holds every OpenBLAS at one thread,
-workers included: with every CPU busy, a second BLAS thread only contends
-for a core.
+in that order in this process. Every task runs each OpenBLAS on one thread,
+as with every CPU busy a second BLAS thread only contends for a core: an
+inline run caps the caller's and restores them, and each worker caps its own.
 
 Trials are pure functions of (dataset, config, trial seed): strategy
 randomness, oracle noise, and the split draw from separate seeded streams so
@@ -134,6 +134,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, kinds in (
             ("dataset", (Dataset, DatasetManifest)),
+            ("strategies", (tuple, list)),
             ("regression", (RegressionSpec,)),
             ("oracle", (OracleConfig,)),
         ):
@@ -378,7 +379,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_openblas_lock = threading.Lock()  # held by one run at a time
+_openblas_lock = threading.Lock()  # held by one inline run at a time
 
 
 def _openblas_libraries() -> list:
@@ -414,9 +415,9 @@ def _openblas_thread_controls() -> list:
 @contextmanager
 def _one_blas_thread():
     """Run the body with every OpenBLAS on one thread, then restore each
-    library's count, also when the body raises; forks inside inherit the one
-    thread. Bodies in threads of one process take turns. With no OpenBLAS
-    found (MKL, Accelerate, no /proc), threading is left alone."""
+    library's count, also when the body raises. Bodies in threads of one
+    process take turns. With no OpenBLAS found (MKL, Accelerate, no /proc),
+    threading is left alone."""
     with _openblas_lock:
         controls = _openblas_thread_controls()
         saved = [get() for get, _ in controls]
@@ -433,9 +434,12 @@ _adopted: tuple | None = None  # (space, config, sizes), set by _adopt
 
 
 def _adopt(*run) -> None:
-    """Fork initializer: keep the run; the worker forked under its BLAS cap."""
+    """Fork initializer: keep the run, and set every OpenBLAS of this worker
+    to one thread for its life, with no restore."""
     global _adopted
     _adopted = run
+    for _, set_threads in _openblas_thread_controls():
+        set_threads(1)
 
 
 def _pooled_task(task: tuple[int, tuple[StrategyConfig, ...]]) -> list[TrialResult]:
@@ -444,11 +448,13 @@ def _pooled_task(task: tuple[int, tuple[StrategyConfig, ...]]) -> list[TrialResu
 
 def _run_tasks(space, config, sizes, tasks) -> list[list[TrialResult]]:
     """Every task's results, in task order. Forked workers inherit the run,
-    so only tasks and results are pickled; the pool is shut down and every
-    worker joined before this returns or raises."""
+    so only tasks and results are pickled, and cap their own BLAS threads
+    (_adopt): a pooled run sets no thread count here. The pool is shut down
+    and every worker joined before this returns or raises."""
     workers = min(_usable_cpus(), len(tasks))
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_run_task(space, config, sizes, *task) for task in tasks]
+        with _one_blas_thread():
+            return [_run_task(space, config, sizes, *task) for task in tasks]
     pool = ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
@@ -479,10 +485,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     seeds = range(config.base_seed, config.base_seed + config.trials)
     tasks = [(seed, group) for seed in seeds for group in groups]
     trials: dict[str, list[TrialResult]] = {s.kind: [] for s in config.strategies}
-    with _one_blas_thread():
-        for results in _run_tasks(space, config, sizes, tasks):
-            for result in results:
-                trials[result.strategy].append(result)
+    for results in _run_tasks(space, config, sizes, tasks):
+        for result in results:
+            trials[result.strategy].append(result)
 
     # trials x (rounds + 1) RMSEs per strategy
     curves = {

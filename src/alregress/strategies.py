@@ -16,7 +16,13 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .datasets import require_int
-from .graph import NNBipartiteGraph, _index_values, _pair_index
+from .graph import (
+    _SWAP_BLOCK,
+    NNBipartiteGraph,
+    _block_stop,
+    _index_values,
+    _sparse_scores,
+)
 from .regression import fit, predict
 
 # Minimum strict improvement for a batch swap to be accepted.
@@ -24,11 +30,6 @@ SWAP_TOL = 1e-12
 
 # Bootstrap members of the qbc and emcm committee.
 COMMITTEE_SIZE = 4
-
-# Swap gains (candidates x members), member-column rows (rows x members) and
-# near pairs that the batch search and lazy greedy's sparse scores hold for
-# one block; a block has at least one candidate or row.
-_SWAP_BLOCK = 1 << 16
 
 # The order is pinned: experiment._seed_for numbers each kind's random
 # streams by its place here, and the pinned outputs were drawn with it.
@@ -84,50 +85,6 @@ def select_ours_sequential(graph: NNBipartiteGraph) -> SelectionTrace:
     return SelectionTrace(chosen=int(picks[0]), score=float(drops[0]))
 
 
-def _pairs_before(ptr, candidates):
-    """Near pairs of candidates[:i] for every i from 0 to candidates.size."""
-    out = np.zeros(candidates.size + 1, dtype=np.int64)
-    np.cumsum(np.diff(ptr)[candidates], out=out[1:])
-    return out
-
-
-def _block_stop(pairs_before, i, width):
-    """End of the candidate block that starts at i: at most ``width``
-    candidates and _SWAP_BLOCK near pairs, and at least one candidate.
-    ``pairs_before`` is _pairs_before's count, or the near-pair list's ptr
-    for a range of pool positions."""
-    fits = np.searchsorted(pairs_before, pairs_before[i] + _SWAP_BLOCK, "right") - 1
-    return max(i + 1, min(i + width, int(fits)))
-
-
-def _sparse_scores(pairs, weights, candidates=None):
-    """Sum of max(0, weights[j] - d(j, u)) over the near pairs of each
-    candidate position u, in row order, in blocks of at most _SWAP_BLOCK
-    pairs. A row that holds no near pair of u adds nothing, since weights
-    never exceed the weights the pairs were listed under. ``candidates``
-    None scores every pool position, each block's pairs one slice of the
-    list."""
-    ptr, rows, dist = pairs
-    if candidates is None:
-        before, size = ptr, ptr.size - 1
-    else:
-        before, size = _pairs_before(ptr, candidates), candidates.size
-    out = np.empty(size)
-    i = 0
-    while i < size:
-        stop = _block_stop(before, i, size)
-        if candidates is None:
-            idx, lens = slice(ptr[i], ptr[stop]), np.diff(ptr[i : stop + 1])
-        else:
-            block = candidates[i:stop]
-            idx, lens = _pair_index(ptr, block), ptr[block + 1] - ptr[block]
-        at = np.repeat(np.arange(stop - i), lens)  # each pair's block slot
-        terms = np.maximum(weights[rows[idx]] - dist[idx], 0.0)
-        out[i:stop] = np.bincount(at, weights=terms, minlength=stop - i)
-        i = stop
-    return out
-
-
 def build_seed_set(graph: NNBipartiteGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k sequential picks with the graph committed after each (labels untouched).
 
@@ -135,9 +92,10 @@ def build_seed_set(graph: NNBipartiteGraph, k: int) -> tuple[np.ndarray, np.ndar
     to the smallest index, found by lazy greedy (Minoux 1978) over sparse
     scores: the sum of max(0, theta(j) - d(j, u)) over u's graph.near_pairs,
     in row order, under the chain's current weights (0 for picked rows).
-    That is the q_values entry bit for bit: a row outside u's pairs adds
-    +0.0 there, which leaves a non-negative sum's bits alone, and both add
-    the rest in row order. Weights only fall along the chain, and rounded
+    That is the committed graph's q_values entry bit for bit: q_values
+    sums the same terms over that graph's own, smaller list, and a pair of
+    u outside it adds +0.0, which leaves a non-negative sum's bits alone.
+    Weights only fall along the chain, and rounded
     subtraction, max and addition are monotone, so a stale score bounds
     the fresh one from above exactly. A pick re-scores every point whose
     stale bound is at least the best fresh score and then takes the

@@ -1,6 +1,6 @@
 """Shared fixtures: the 1-D toy graph, random, clustered and integer-grid
-instances, the benchmark stand-in's graphs, the slow references for the
-near-pair list, lazy greedy, the greedy max-min-distance walk, the swap
+instances, the benchmark stand-in's graphs, the slow references for q,
+the near-pair list, lazy greedy, the greedy max-min-distance walk, the swap
 search, rebuilds and least squares with the checks that hold the fast paths
 to them, the replay of a harness trial on a graph, benchmark data
 discovery, the OpenBLAS kernel the run uses, named in the report header,
@@ -227,15 +227,36 @@ def assert_near_pairs_are_reference(g):
         assert got.tobytes() == want.tobytes()
 
 
+def q_values_reference(graph, columns=None):
+    """Slow reference for q_values: for every pool point u, the sum of
+    max(0, thetas[j] - L1(x_j, x_u)) over every pool row j, dense and in
+    row order. ``sum(axis=0)`` would not keep that order: numpy reduces a
+    single column pairwise but a wider block row by row, and the two orders
+    can split an exact tie. Scores ``columns`` candidates per cdist block
+    (by default as many as 2**18 distances allow), each block freed before
+    the next; the bits do not depend on the width."""
+    XU, thetas = graph.features[graph.unlabeled], graph.thetas
+    out = np.empty(len(XU))
+    step = columns or max(1, (1 << 18) // max(len(XU), 1))
+    for start in range(0, len(XU), step):
+        d = cdist(XU, XU[start : start + step], "cityblock")
+        np.subtract(thetas[:, None], d, out=d)
+        np.maximum(d, 0.0, out=d)
+        np.add.accumulate(d, axis=0, out=d)  # sequential by definition
+        out[start : start + step] = d[-1]
+        del d
+    return out
+
+
 def eager_seed_set(graph, k):
-    """Slow reference for build_seed_set: a full q_values scan per pick,
-    argmax (first max, so ties go to the smallest index), then commit.
+    """Slow reference for build_seed_set: a full q_values_reference scan per
+    pick, argmax (first max, so ties go to the smallest index), then commit.
     Returns ``(picks, drops)``, each drop the pick's commit's fall in H."""
     g = graph
     picks = np.empty(k, dtype=np.int64)
     drops = np.empty(k, dtype=np.float64)
     for i in range(k):
-        u = int(g.unlabeled[int(np.argmax(g.q_values()))])
+        u = int(g.unlabeled[int(np.argmax(q_values_reference(g)))])
         after = g.commit(np.asarray([u]))
         picks[i], drops[i] = u, g.total_uncertainty() - after.total_uncertainty()
         g = after

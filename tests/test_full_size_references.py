@@ -1,5 +1,5 @@
-"""The near-pair list, the graph rules and greedy against their slow
-references at full size.
+"""The near-pair list, q_values, the graph rules and greedy against their
+slow references at full size.
 
 Everywhere else the fast paths meet their references on small instances.
 Here they meet them on the protocol's full sizes: the graph-whitewine
@@ -23,6 +23,7 @@ from conftest import (
     assert_near_pairs_are_reference,
     assert_lazy_is_eager,
     assert_matches_dense,
+    q_values_reference,
     whitewine_stand_in_graph,
 )
 
@@ -34,7 +35,7 @@ GREEDY_PICKS = 680
 
 @pytest.mark.skipif(
     not os.environ.get("ALREGRESS_FULL_REFERENCES"),
-    reason="set ALREGRESS_FULL_REFERENCES=1 to check near_pairs, "
+    reason="set ALREGRESS_FULL_REFERENCES=1 to check near_pairs, q_values, "
     "build_seed_set, select_ours_batch and greedy_order against their slow "
     "references at full size (about 3.5 minutes)",
 )
@@ -44,7 +45,9 @@ def test_slow_references_at_full_size():
         assert g.unlabeled.size == 3380
         # the pruned near-pair build against one pool x pool cdist, bitwise
         assert_near_pairs_are_reference(g)
-        # the eager q_values chain: the same picks and drop bits
+        # q_values over that list against the dense row-order sums, bitwise
+        assert g.q_values().tobytes() == q_values_reference(g).tobytes()
+        # the eager chain of dense q scans: the same picks and drop bits
         assert_lazy_is_eager(g, FULL_K)
         # the dense search from the same seed: set, swap count, q_history bits
         assert_matches_dense(g, build_seed_set(g, FULL_K)[0])

@@ -22,7 +22,6 @@ from alregress import (
     select_ours_batch,
 )
 from alregress import graph as graph_module
-from alregress.graph import q_columns
 
 from conftest import (
     assert_near_pairs_are_reference,
@@ -30,6 +29,7 @@ from conftest import (
     grid_graphs,
     near_pairs_reference,
     q_by_rebuild,
+    q_values_reference,
     random_graph,
     stand_in_graph,
 )
@@ -147,34 +147,46 @@ class TestScores:
             assert g.q_set([a, b]) >= g.q_set([a]) - 1e-12
 
 
+def far_labeled_graph(n=300, d=3):
+    """A pool around the origin and one labeled point 100 units away: every
+    pool pair is near, so the near-pair list holds pool x pool entries."""
+    rng = np.random.default_rng(19)
+    X = np.vstack([np.full((1, d), 100.0), rng.normal(size=(n - 1, d))])
+    g = NNBipartiteGraph.build([0], np.arange(1, n), X)
+    assert g.near_pairs()[0][-1] == (n - 1) ** 2
+    return g
+
+
 class TestQValuesBudget:
-    """q_values is one q_columns call, which scores max(1, _DIST_BUDGET //
-    |U|) columns per block and frees each block before the next; the bits
-    must not depend on that width."""
+    """q_values sums each candidate's near pairs in blocks of at most
+    _SWAP_BLOCK pairs; its bits equal q_values_reference, the dense
+    row-order sum, whatever that width."""
 
-    @staticmethod
-    def one_column_at_a_time(g):
-        XU = g.features[g.unlabeled]
-        return np.concatenate(
-            [q_columns(XU, g.thetas, XU[c : c + 1]) for c in range(len(XU))]
-        )
-
-    @pytest.mark.parametrize("columns", [1, 7, None])  # None: the whole pool
-    def test_bits_equal_column_loop(self, monkeypatch, columns):
+    @pytest.mark.parametrize("block", [1, 7, None])  # None: the default
+    def test_bits_equal_column_loop(self, monkeypatch, block):
         continuous = clustered_graph(3, n=437)
         rng = np.random.default_rng(4)
         X = rng.integers(0, 4, size=(301, 2)).astype(float)  # duplicates, ties
         grid = NNBipartiteGraph.build(np.arange(5), np.arange(5, 301), X)
-        for g in (continuous, grid):
-            m = g.unlabeled.size
-            monkeypatch.setattr(graph_module, "_DIST_BUDGET", m * (columns or m))
+        if block is not None:
+            monkeypatch.setattr(graph_module, "_SWAP_BLOCK", block)
+        for g in (continuous, grid, far_labeled_graph()):
             got = g.q_values()
-            assert got.tobytes() == self.one_column_at_a_time(g).tobytes()
+            assert got.tobytes() == q_values_reference(g, columns=1).tobytes()
+
+    @given(g=grid_graphs(), block=st.sampled_from([1, 7, 1 << 16]))
+    @settings(max_examples=100, deadline=None)
+    def test_grid_bits_equal_reference(self, g, block):
+        # duplicate rows and exact ties d == theta, in blocks of every width
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_SWAP_BLOCK", block)
+            got = g.q_values()
+        assert got.tobytes() == q_values_reference(g).tobytes()
 
     def test_memory_bounded_by_budget(self):
-        """A 2,000-point pool peaks within two budgets of distances (one
-        block, 2.1 MB, plus the pool's rows), not at a pool x pool matrix
-        (32 MB) or the former |U| x 1024 block (16.4 MB)."""
+        """A 2,000-point pool, its near-pair list built by this call, peaks
+        within two budgets of distances (4.2 MB), not at a pool x pool
+        matrix (32 MB)."""
         g = clustered_graph(7, n=2040)
         pool = g.unlabeled.size
         budget_bytes = graph_module._DIST_BUDGET * 8

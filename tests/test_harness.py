@@ -113,6 +113,10 @@ class TestExperimentConfig:
             ({"oracle": "gaussian"}, "^oracle must be OracleConfig, got str$"),
             ({"strategies": ("random",)},
              "^strategies entries must be StrategyConfig, got str$"),
+            ({"strategies": StrategyConfig(kind="random")},
+             "^strategies must be tuple or list, got StrategyConfig$"),
+            ({"strategies": 5},
+             "^strategies must be tuple or list, got int$"),
         ):
             kwargs = dict(dataset=ds, strategies=(StrategyConfig(kind="random"),))
             kwargs.update(overrides)
@@ -793,6 +797,34 @@ class TestParallelTrials:
         assert set(seen) == {str([1] * len(blas_threads))}
         assert thread_counts() == [2] * len(blas_threads)
 
+    def test_pooled_run_leaves_the_caller_threads_alone(
+        self, monkeypatch, forks, tmp_path, blas_threads
+    ):
+        # each worker sets its own OpenBLAS to one thread; the caller makes
+        # no thread-count call, which would restart its OpenBLAS thread pool
+        real_controls = experiment._openblas_thread_controls
+
+        def spy(name, call):
+            def counted(*args):
+                with open(tmp_path / f"{os.getpid()}.{name}", "a") as fh:
+                    fh.write("1")
+                return call(*args)
+
+            return counted
+
+        def controls():
+            return [(spy("get", get), spy("set", set_threads))
+                    for get, set_threads in real_controls()]
+
+        monkeypatch.setattr(experiment, "_openblas_thread_controls", controls)
+        usable_cpus(monkeypatch, 2)
+        run_experiment(all_six_config(trials=2))
+        assert len(forks) == 2
+        calls = [f.name for f in tmp_path.iterdir()]
+        assert not [name for name in calls if name.startswith(f"{os.getpid()}.")]
+        assert sum(name.endswith(".set") for name in calls) == 2  # the workers
+        assert thread_counts() == [2] * len(blas_threads)
+
     def test_pooled_caller_fits_nothing(self, monkeypatch, forks, tmp_path):
         # each task draws its seed's split and makes its initial fit in the
         # worker: the caller forks before any split or fit
@@ -833,9 +865,9 @@ class TestParallelTrials:
 
 
 class TestBlasThreadCap:
-    """run_experiment and run_trial hold every OpenBLAS at one thread and
-    then give the caller's counts back; fit alone leaves them as it finds
-    them (test_regression)."""
+    """run_experiment and run_trial hold every OpenBLAS at one thread for
+    the tasks they run inline and then give the caller's counts back; fit
+    alone leaves them as it finds them (test_regression)."""
 
     def test_inline_run_reads_one_thread(self, monkeypatch, forks, blas_threads):
         # one task with 2 usable CPUs runs inline: the task, its initial fit

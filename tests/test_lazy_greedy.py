@@ -1,16 +1,18 @@
 """Lazy greedy against the eager reference, and the pick tie contract.
 
-build_seed_set must pick exactly what a full q_values scan per pick picks:
-the argmax of q, summed term by term in row order, the smallest index on
-ties. The properties run on integer-grid features, where duplicate rows and
-exact distance ties are common. The regression tests pin the tie rule: on
-demo 05's data, candidates 110 and 167 tie exactly at pick 40, in rational
-arithmetic on the float inputs and in q_values, and the pick is 110.
+build_seed_set must pick exactly what a full scan of the dense q reference
+(conftest.q_values_reference) per pick picks: the argmax of q, summed term
+by term in row order, the smallest index on ties. The properties run on
+integer-grid features, where duplicate rows and exact distance ties are
+common. The regression tests pin the tie rule: on demo 05's data,
+candidates 110 and 167 tie exactly at pick 40, in rational arithmetic on the
+float inputs and in the dense reference, and the pick is 110.
 
-Lazy greedy scores candidates by sparse sums over near pairs: the
-float-contract test checks them against q_values bit for bit along commit
-chains, which makes every stale score an exact upper bound, and the memory
-test checks that lazy greedy holds no pool x pool array.
+Lazy greedy scores candidates by sparse sums over near pairs, as q_values
+does: the float-contract test checks both against the dense reference bit
+for bit along commit chains, which makes every stale score an exact upper
+bound, and the memory test checks that lazy greedy holds no pool x pool
+array.
 """
 
 import runpy
@@ -33,9 +35,8 @@ from alregress import (
     make_split,
     run_trial,
 )
-from alregress.graph import q_columns
-from alregress import strategies as strategies_module
-from alregress.strategies import _sparse_scores
+from alregress import graph as graph_module
+from alregress.graph import _sparse_scores
 
 from conftest import (
     REPO_ROOT,
@@ -45,6 +46,7 @@ from conftest import (
     eager_seed_set,
     grid_graphs,
     openblas_cores,
+    q_values_reference,
     random_graph,
 )
 
@@ -68,8 +70,8 @@ class TestLazyEqualsEager:
 
     def test_whole_pool_on_decimal_grid(self):
         # On a 0.1-step grid, q values that tie in exact arithmetic can
-        # round apart; the sparse sums round exactly as q_values' row-order
-        # sums do, so the picks still match.
+        # round apart; the sparse sums round exactly as the reference's
+        # row-order sums do, so the picks still match.
         rng = np.random.default_rng(97)
         for _ in range(30):
             n, d = int(rng.integers(10, 60)), int(rng.integers(1, 4))
@@ -116,17 +118,21 @@ class TestLazyEqualsEager:
 def assert_sparse_is_q_values(g0, order):
     """Commit g0's pool positions ``order`` one at a time and, before each
     commit, check that the sparse scores build_seed_set reads (g0's near
-    pairs under the chain's weights, 0 for committed rows) are the
-    committed graph's q_values bit for bit."""
+    pairs under the chain's weights, 0 for committed rows) and the
+    committed graph's q_values, read from its own list, are its
+    q_values_reference bit for bit."""
     pool = g0.unlabeled
     weights = g0.thetas.copy()
     # the first pass scores every position, each block one slice of the list
-    assert _sparse_scores(g0.near_pairs(), weights).tobytes() == g0.q_values().tobytes()
+    want = q_values_reference(g0).tobytes()
+    assert _sparse_scores(g0.near_pairs(), weights).tobytes() == want
     alive = np.ones(pool.size, dtype=bool)
     g = g0
     for pos in order:
+        want = q_values_reference(g).tobytes()
         sparse = _sparse_scores(g0.near_pairs(), weights, np.flatnonzero(alive))
-        assert sparse.tobytes() == g.q_values().tobytes()
+        assert sparse.tobytes() == want
+        assert g.q_values().tobytes() == want
         alive[pos] = False
         g = g.commit(pool[pos : pos + 1])
         weights[pos] = 0.0
@@ -144,7 +150,7 @@ class TestFloatContract:
     @pytest.mark.parametrize("block", [1, 37, 1 << 16])
     def test_blocks_of_every_width(self, monkeypatch, block):
         # a block of one pair, of a few candidates, and the whole pool
-        monkeypatch.setattr(strategies_module, "_SWAP_BLOCK", block)
+        monkeypatch.setattr(graph_module, "_SWAP_BLOCK", block)
         g0 = clustered_graph(3, n=437)
         assert_sparse_is_q_values(g0, np.random.default_rng(2).permutation(397)[:5])
 
@@ -165,7 +171,7 @@ class TestContenders:
         base = rng.normal(scale=5.0, size=(3, 4))
         X = np.vstack([base + 0.5, base[rng.integers(0, 3, size=1200)]])
         g = NNBipartiteGraph.build(np.arange(3), np.arange(3, 1203), X)
-        q = g.q_values()
+        q = q_values_reference(g)
         assert np.count_nonzero(q == q.max()) > 300
         assert_lazy_is_eager(g, 3)
 
@@ -192,23 +198,23 @@ class TestSummationOrder:
         return NNBipartiteGraph.build(np.arange(5), np.arange(5, n), X)
 
     def test_kernel_matches_q_values_at_every_width(self):
+        # the dense reference, one column per block up to the whole pool
         g = self._graph()
-        q = g.q_values()
-        XU = g.features[g.unlabeled]
-        for start, width in ((0, 1), (7, 1), (1090, 1), (3, 2), (50, 1024)):
-            cols = slice(start, start + width)
-            got = q_columns(XU, g.thetas, XU[cols])
-            np.testing.assert_array_equal(got, q[cols])  # bitwise
+        q = g.q_values().tobytes()
+        for columns in (1, 2, 7, 1024, g.unlabeled.size):
+            assert q_values_reference(g, columns).tobytes() == q
 
     def test_kernel_sums_in_row_order(self):
         g = self._graph()
         XU = g.features[g.unlabeled]
+        q, dense = g.q_values(), q_values_reference(g)
         for c in (0, 11, 500):
             d = cdist(XU, XU[c : c + 1], "cityblock")[:, 0]
             acc = 0.0
             for t, v in zip(g.thetas.tolist(), d.tolist()):
                 acc += max(0.0, t - v)
-            assert q_columns(XU, g.thetas, XU[c : c + 1])[0] == acc
+            assert q[c] == acc
+            assert dense[c] == acc
 
     def test_demo05_pick_40_is_110(self):
         # 110 and 167 tie exactly at pick 40: q, summed in rational

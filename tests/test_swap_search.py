@@ -130,9 +130,9 @@ class TestDegenerateMembers:
 
 def test_graph_rules_measure_no_distance(monkeypatch):
     """Once the graph holds its near-pair list, build_seed_set and the swap
-    search read every distance from it: cdist, which graph's references
-    (commit, q_columns) and greedy_order call, is never called, and the
-    features are never read."""
+    search read every distance from it: cdist, which the graph's build,
+    commit and near-pair build and greedy_order call, is never called, and
+    the features are never read."""
     g = clustered_graph(n=640)
     g.near_pairs()
     g.features = None
