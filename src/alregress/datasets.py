@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -176,27 +177,51 @@ def _split_line(line: str, delimiter: str) -> list[str]:
     return [cell.strip().strip('"') for cell in line.split(delimiter)]
 
 
-def load_dataset(manifest: DatasetManifest) -> Dataset:
-    """Parse the manifest's file into a Dataset.
+def _header(line: str, delimiter: str) -> list[str]:
+    return [p.strip().strip('"') for p in _split_line(line, delimiter)]
 
-    Raises ValueError naming the 1-based line number for non-numeric cells or
-    ragged rows, and on expected_rows/expected_cols mismatches.
 
-    Every cell is one Python float, written straight into one float64
-    array.
-    """
-    path = Path(manifest.path)
-    if not path.exists():
-        raise FileNotFoundError(f"dataset {manifest.name!r}: no such file {path}")
+def _load_table(path: Path, delimiter: str, skip_header: bool):
+    """(header, rows) of the file through np.loadtxt, or None where loadtxt
+    refuses it: ragged rows, a cell it cannot read (a quoted one, say), no
+    rows at all. The header is the first non-blank line. loadtxt reads a
+    cell with PyOS_string_to_double, the parser float() calls, so every
+    cell it reads has float()'s bits."""
+    whitespace = delimiter.strip() == ""
+    if not whitespace and len(delimiter) != 1:
+        return None  # loadtxt takes one delimiter character
+    with open(path, encoding="utf-8") as fh:
+        header = None
+        if skip_header:
+            line = next((ln for ln in iter(fh.readline, "") if ln.strip()), "")
+            header = _header(line.strip(), delimiter) if line else None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns on no rows
+                rows = np.loadtxt(
+                    fh,
+                    delimiter=None if whitespace else delimiter,
+                    comments=None,
+                    ndmin=2,
+                )
+        except (ValueError, UserWarning):
+            return None
+    return header, rows
 
+
+def _parse_lines(path: Path, manifest: DatasetManifest):
+    """(header, rows) of the file, line by line: every cell one Python
+    float, written straight into one float64 array. Raises ValueError
+    naming the 1-based line number for non-numeric cells or ragged rows."""
     with open(path, encoding="utf-8") as fh:
         lines = ((no, line.strip()) for no, line in enumerate(fh, start=1))
-        cells = ((no, _split_line(line, manifest.delimiter)) for no, line in lines if line)
+        texts = ((no, line) for no, line in lines if line)
+        cells = ((no, _split_line(line, manifest.delimiter)) for no, line in texts)
         header: list[str] | None = None
         if manifest.skip_header:
-            first = next(cells, None)
+            first = next(texts, None)
             if first is not None:
-                header = [p.strip().strip('"') for p in first[1]]
+                header = _header(first[1], manifest.delimiter)
         lineno, parts = next(cells, (0, []))
         width = len(parts)
 
@@ -225,7 +250,24 @@ def load_dataset(manifest: DatasetManifest) -> Dataset:
             ) from None
     if not width:
         raise ValueError(f"dataset {manifest.name!r}: no data rows in {path}")
-    data = flat.reshape(-1, width)
+    return header, flat.reshape(-1, width)
+
+
+def load_dataset(manifest: DatasetManifest) -> Dataset:
+    """Parse the manifest's file into a Dataset.
+
+    Raises ValueError naming the 1-based line number for non-numeric cells or
+    ragged rows, and on expected_rows/expected_cols mismatches.
+
+    np.loadtxt reads the file (_load_table); a file it refuses goes through
+    the per-line parser, which reads what loadtxt would not, such as quoted
+    cells, or names the bad line. Both read every cell with float()'s bits.
+    """
+    path = Path(manifest.path)
+    if not path.exists():
+        raise FileNotFoundError(f"dataset {manifest.name!r}: no such file {path}")
+    table = _load_table(path, manifest.delimiter, manifest.skip_header)
+    header, data = table if table is not None else _parse_lines(path, manifest)
 
     tcol = _resolve_target_column(manifest, header, data.shape[1])
     targets = data[:, tcol]

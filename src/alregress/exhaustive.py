@@ -17,9 +17,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .graph import NNBipartiteGraph
+from .graph import NNBipartiteGraph, _distances
 
 # Enumeration limit: every solver's _guard refuses pools past it. The worst
 # case it allows is one solve at |pool| = 20 and k = 10, which enumerates
@@ -41,12 +40,12 @@ def _guard(graph: NNBipartiteGraph, k: int) -> None:
 def _weights_after(graph: NNBipartiteGraph, k: int):
     """(subset, weights) for every k-subset of the pool, in lexicographic
     order of pool positions: the subset as sorted dataset indices, and the
-    ``thetas`` that ``graph.commit(subset)`` would have, bitwise. cdist
-    computes each pair on its own, so the matrix holds commit's distances,
-    and a minimum is exact."""
+    ``thetas`` that ``graph.commit(subset)`` would have, bitwise.
+    graph._distances computes each pair on its own, so the matrix holds
+    commit's distances, and a minimum is exact."""
     n = graph.unlabeled.size
     XU = graph.features[graph.unlabeled]
-    dist = cdist(XU, XU, "cityblock")
+    dist = _distances(XU, XU, "cityblock")
     for positions in itertools.combinations(range(n), k):
         members = list(positions)
         rest = np.ones(n, dtype=bool)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 # Absolute slack of check_bound's prediction-shift cap for float rounding.
 # validation.bound_violations (acceptance criterion 2) sends every draw
@@ -21,9 +20,14 @@ from scipy.spatial.distance import cdist
 BOUND_TOL = 1e-12
 
 # Pairwise distances near_pairs holds at once: it measures each anchor
-# group's candidates against only the rows its anchor can reach, in cdist
+# group's candidates against only the rows its anchor can reach, in
 # rectangles of at most this many distances.
 _DIST_BUDGET = 1 << 18
+
+# Terms _distances holds at once, whatever the input size: one matmul's
+# differences, over an output tile of at most this many pairs and as many
+# of its columns as fit.
+_TILE = 1 << 15
 
 # Near pairs that q scores hold for one block, and the swap gains
 # (candidates x members) and member-column rows (rows x members) the batch
@@ -67,14 +71,74 @@ def _as_index_array(idx, n: int, name: str) -> np.ndarray:
     return arr
 
 
+def _distances(A, B, metric: str) -> np.ndarray:
+    """Distances between every row of A and every row of B, (p, q), for
+    ``metric`` "cityblock" (L1) or "euclidean": the bits of cdist(A, B,
+    metric), which the tests keep as its reference.
+
+    Each pair sums its per-column terms, |a - b| or (a - b)**2, in column
+    order, starting from 0.0, by one add per column into a zeroed tile of
+    the output; euclidean takes the square root after. That is cdist's
+    order. A numpy reduction over the column axis is not: np.add.reduce
+    sums in another order, and its bits can differ from 8 columns on. So a
+    distance depends on its own two rows only, never on the shapes, and
+    d(a, b) equals d(b, a), since each term is symmetric.
+
+    A column's differences a - b over a tile are one matmul of [a, 1] and
+    [1, -b]. Both products are exact, since one factor is 1, so the one
+    rounding is that of a - b, whatever the BLAS kernel or its order. A
+    broadcast subtract gives the same bits, but when neither side of the
+    tile is long numpy buffers it, at 3-4x the matmul's time, and the
+    kernel took twice as long with it. One matmul covers as many columns
+    as fit in _TILE terms, so a small output costs few calls. Beyond its
+    output the kernel holds _TILE terms and the [a, 1] and [1, -b] blocks
+    of one matmul, at most 2 _TILE floats each, whatever the input size.
+    It reads its inputs a column block at a time, so a caller that calls
+    it often on one large input can hold that input in column order.
+    """
+    if metric not in ("cityblock", "euclidean"):
+        raise ValueError(f"unknown metric {metric!r}")
+    A, B = np.asarray(A, dtype=np.float64), np.asarray(B, dtype=np.float64)
+    (p, d), q = A.shape, B.shape[0]
+    out = np.zeros((p, q))
+    width = max(1, min(q, _TILE))
+    height = max(1, min(p, _TILE // width))
+    cols = max(1, min(d, _TILE // (height * width)))  # columns per matmul
+    terms = np.empty(cols * height * width)
+    lhs = np.ones((cols, height, 2))  # [a, 1] per column
+    rhs = np.ones((cols, 2, width))  # [1, -b] per column
+    for r in range(0, p, height):
+        rs = slice(r, r + height)
+        for s in range(0, q, width):
+            cs = slice(s, s + width)
+            acc = out[rs, cs]
+            h, w = acc.shape
+            for c in range(0, d, cols):
+                n = min(cols, d - c)
+                a, b = lhs[:n, :h], rhs[:n, :, :w]
+                a[:, :, 0] = A[rs, c : c + n].T
+                np.negative(B[cs, c : c + n].T, out=b[:, 1])
+                t = terms[: n * h * w].reshape(n, h, w)
+                np.matmul(a, b, out=t)
+                if metric == "cityblock":
+                    np.abs(t, out=t)
+                else:
+                    np.multiply(t, t, out=t)
+                for column_terms in t:
+                    acc += column_terms
+    if metric == "euclidean":
+        np.sqrt(out, out=out)
+    return out
+
+
 def _near_pair_pieces(features, unlabeled, nn, thetas, ptr) -> list:
     """near_pairs' pairs as (candidates, rows, dist) pieces, candidate by
     candidate, each candidate u's pair count written to ptr[u + 1].
 
-    One anchor group at a time, in ascending anchor order: one cdist row
-    from its anchor to every anchor picks the groups whose rows it can
-    reach (see near_pairs), and its candidates, ascending, meet those rows
-    in cdist slices of at most _DIST_BUDGET distances.
+    One anchor group at a time, in ascending anchor order: one row of L1
+    distances from its anchor to every anchor picks the groups whose rows
+    it can reach (see near_pairs), and its candidates, ascending, meet
+    those rows in slices of at most _DIST_BUDGET distances.
     """
     X, n = features[unlabeled], thetas.size
     anchors, group = np.unique(nn, return_inverse=True)
@@ -86,7 +150,7 @@ def _near_pair_pieces(features, unlabeled, nn, thetas, ptr) -> list:
         cands = np.flatnonzero(group == m)  # ascending positions
         bound = radius[m] + 2.0 * radius
         bound *= 1.0 + _PRUNE_SLACK
-        reach = cdist(A[m : m + 1], A, "cityblock")[0] < bound
+        reach = _distances(A[m : m + 1], A, "cityblock")[0] < bound
         rows = np.flatnonzero(reach[group])  # ascending positions
         width = rows.size
         if width == n:  # nothing pruned: no gather, no row map
@@ -97,10 +161,10 @@ def _near_pair_pieces(features, unlabeled, nn, thetas, ptr) -> list:
             continue
         step = max(1, _DIST_BUDGET // width)
         for s in range(0, cands.size, step):
-            # Rows are candidates u: d(u, j) equals d(j, u) bit for bit,
-            # since each |a - b| is symmetric and the terms sum in one order.
+            # Rows are candidates u: d(u, j) equals d(j, u) bit for bit
+            # (see _distances).
             c = cands[s : s + step]
-            d = cdist(X[c], XR, "cityblock")
+            d = _distances(X[c], XR, "cityblock")
             flat = np.flatnonzero(d < TR)
             ptr[c + 1] = np.bincount(flat // width, minlength=c.size)
             j = flat % width
@@ -183,8 +247,9 @@ class NNBipartiteGraph:
     ``thetas`` align with ``unlabeled``. ``features`` is held by reference and
     must not be mutated while the graph is alive.
 
-    Invariant: ``thetas[j]`` is the cdist L1 distance from ``unlabeled[j]``
-    to its anchor ``nn[j]``, as computed, not a value rounded any other way.
+    Invariant: ``thetas[j]`` is the L1 distance from ``unlabeled[j]`` to its
+    anchor ``nn[j]`` as _distances computes it, not a value rounded any
+    other way.
     build and commit keep it true; near_pairs' triangle-inequality prune
     relies on it.
     """
@@ -218,7 +283,7 @@ class NNBipartiteGraph:
             raise ValueError("labeled set must be nonempty")
         if np.intersect1d(lab, unl).size:
             raise ValueError("labeled and unlabeled sets overlap")
-        dists = cdist(X[unl], X[lab], "cityblock")
+        dists = _distances(X[unl], X[lab], "cityblock")
         pos = dists.argmin(axis=1)
         thetas = dists[np.arange(unl.size), pos]
         nn = lab[pos]
@@ -311,10 +376,10 @@ class NNBipartiteGraph:
             d(a_m, a_l) <= theta_u + d(u, j) + theta_j < R_m + 2 R_l,
 
         so a group's candidates need only the rows of the groups l with
-        d(a_m, a_l) < (R_m + 2 R_l)(1 + _PRUNE_SLACK). Those distances come
-        from the same cdist calls as a full scan, so each measured pair
-        keeps its bits, and d < thetas[j] alone decides which are kept: the
-        list is the full scan's bit for bit. About a fifth of pool x pool
+        d(a_m, a_l) < (R_m + 2 R_l)(1 + _PRUNE_SLACK). A distance from
+        _distances depends on its two rows only, so each measured pair has
+        a full scan's bits, and d < thetas[j] alone decides which are kept:
+        the list is the full scan's bit for bit. About a fifth of pool x pool
         is measured at the whitewine stand-in; all of it when the labeled
         set lies far from the pool.
 
@@ -356,7 +421,7 @@ class NNBipartiteGraph:
         keep[pos] = False
         rest = self.unlabeled[keep]
         new_labeled = np.sort(np.concatenate([self.labeled, moved]))
-        d = cdist(self.features[rest], self.features[moved], "cityblock")
+        d = _distances(self.features[rest], self.features[moved], "cityblock")
         best_pos = d.argmin(axis=1)
         best = d[np.arange(rest.size), best_pos]
         old_theta, old_nn = self.thetas[keep], self.nn[keep]

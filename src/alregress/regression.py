@@ -2,11 +2,13 @@
 
 fit minimizes ||X w + b 1 - y||^2 + alpha ||w||^2. The bias column is appended
 and the penalty applied only to w, so the solve is a single stacked least
-squares. alpha=0 requests plain least squares; a small floor penalty keeps
-near-singular systems stable while staying within every stated tolerance.
+squares, solved by numpy's LAPACK gelsd. alpha=0 requests plain least
+squares; a small floor penalty keeps near-singular systems stable while
+staying within every stated tolerance.
 
-fit and predict run BLAS on as many threads as the caller set; run_experiment
-and run_trial run every fit and predict of a trial on one OpenBLAS thread.
+fit and predict run numpy's BLAS on as many threads as the caller set;
+run_experiment and run_trial run every fit and predict of a trial on one
+OpenBLAS thread.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .datasets import require_nonnegative
 
@@ -78,8 +79,11 @@ def fit(X: np.ndarray, y: np.ndarray, alpha: float = 0.0) -> LinearModel:
     np.fill_diagonal(stacked[m:], np.sqrt(alpha_eff))
     rhs = np.zeros(m + D)
     rhs[:m] = y
-    # Both inputs were checked finite above.
-    sol, _, _, _ = scipy.linalg.lstsq(stacked, rhs, check_finite=False)
+    # gelsd, dropping singular values below eps times the largest: the
+    # LAPACK routine and default cutoff of conftest.lstsq_reference's
+    # solve, and its bits.
+    eps = np.finfo(np.float64).eps
+    sol, _, _, _ = np.linalg.lstsq(stacked, rhs, rcond=eps)
     return LinearModel(weights=sol[:D], bias=float(sol[D]), ridge_alpha=alpha)
 
 

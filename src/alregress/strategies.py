@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .datasets import require_int
 from .graph import (
     _SWAP_BLOCK,
     NNBipartiteGraph,
     _block_stop,
+    _distances,
     _index_values,
     _sparse_scores,
 )
@@ -127,7 +127,7 @@ def build_seed_set(graph: NNBipartiteGraph, k: int) -> tuple[np.ndarray, np.ndar
     drops = np.empty(k, dtype=np.float64)
     for i in range(k):
         best = float(np.max(bound, where=alive & fresh, initial=-np.inf))
-        width = 2
+        width = 32
         while True:
             todo = np.flatnonzero(alive & ~fresh & (bound >= best))
             if todo.size == 0:
@@ -201,7 +201,8 @@ def select_ours_batch(
         a, width = 0, 1
         while a < nU:
             # Widening ranges: all of a range is scored against one set, and
-            # after a swap the scan restarts, small, just past the swapped-in u.
+            # after a swap the scan restarts, 16 positions wide, just past the
+            # swapped-in u.
             b = _block_stop(search.ptr, a, width)
             hit = search.first_gain(a, b, candidate[a:b])
             if hit is None:
@@ -212,7 +213,7 @@ def select_ours_batch(
             swaps += 1
             changed = True
             q_hist.append(search.q_set())
-            a, width = u + 1, 1
+            a, width = u + 1, min(16, max_width)
     return SelectionTrace(
         chosen=graph.unlabeled[np.sort(search.members)],
         score=q_hist[-1],
@@ -383,9 +384,11 @@ def greedy_order(
     A pick is the pool point with the largest minimum Euclidean distance to
     the labeled set, ties to the first in ``unlabeled`` order; its score is
     that distance. Returns ``(picks, scores)``. One vector of minimum
-    distances, aligned with the pool, takes one pool x 1 column per pick:
-    bitwise a fresh scan's, since a minimum is exact and cdist computes each
-    pair on its own. So a shorter order is a prefix of a longer one.
+    distances, aligned with the pool, takes one 1 x pool row per pick, the
+    pick's distances to every pool point; a picked point's entry is held at
+    -inf. Each remaining entry is bitwise a fresh scan's, since a minimum is
+    exact and graph._distances computes each pair on its own, in either
+    order. So a shorter order is a prefix of a longer one.
     """
     labeled = _index_values(labeled, "labeled")
     pool = _index_values(unlabeled, "unlabeled")
@@ -393,17 +396,16 @@ def greedy_order(
         raise ValueError(f"n={n} outside 1..{pool.size}")
     if labeled.size == 0:
         raise ValueError("greedy selection needs a nonempty labeled set")
-    dmin = cdist(features[pool], features[labeled], "euclidean").min(axis=1)
+    X = np.asfortranarray(features[pool])  # _distances reads by column
+    dmin = _distances(X, features[labeled], "euclidean").min(axis=1)
     picks = np.empty(n, dtype=np.int64)
     scores = np.empty(n, dtype=np.float64)
     for i in range(n):
         pos = int(np.argmax(dmin))
         picks[i], scores[i] = pool[pos], dmin[pos]
         if i + 1 < n:
-            keep = pool != picks[i]
-            pool = pool[keep]
-            col = cdist(features[pool], features[picks[i : i + 1]], "euclidean")
-            dmin = np.minimum(dmin[keep], col[:, 0])
+            dmin[pos] = -np.inf
+            np.minimum(dmin, _distances(X[pos : pos + 1], X, "euclidean")[0], out=dmin)
     return picks, scores
 
 

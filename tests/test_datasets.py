@@ -20,7 +20,7 @@ from alregress import (
     round_half_up,
     standardize,
 )
-from alregress.datasets import DEGENERATE_STD
+from alregress.datasets import DEGENERATE_STD, _load_table, _parse_lines
 
 from conftest import REPO_ROOT
 
@@ -230,6 +230,80 @@ class TestLoading:
         p = self._data_file(tmp_path, "1,2,10\n")
         with pytest.raises(ValueError, match="header"):
             load_dataset(DatasetManifest(name="t", path=str(p), target_column="y"))
+
+
+# A cell as a file may spell it: repr, short and long exponent forms,
+# integers, a leading sign.
+_CELLS = st.one_of(
+    st.floats(-1e6, 1e6).map(repr),
+    st.floats(-1e300, 1e300).map(lambda x: f"{x:.3e}"),
+    st.floats(-1e6, 1e6).map(lambda x: f"{x:.17g}"),
+    st.integers(-(10**6), 10**6).map(str),
+    st.integers(0, 999).map(lambda i: f"+{i}.5"),
+)
+
+
+@st.composite
+def table_files(draw):
+    """(text, delimiter, skip_header) of a well-formed table: blank lines
+    anywhere, LF or CRLF ends, runs of spaces and tabs where the delimiter
+    is whitespace, spaces around delimited cells, an optional header."""
+    width = draw(st.integers(1, 6))
+    row = st.lists(_CELLS, min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    delimiter = draw(st.sampled_from([",", ";", "\t", " "]))
+    skip_header = draw(st.booleans())
+    if skip_header:
+        rows.insert(0, [f'"c{i}"' if i % 2 else f"c{i}" for i in range(width)])
+    pad = st.sampled_from(["", " ", "  "])
+    lines = []
+    for cells in rows:
+        if delimiter.strip():
+            line = delimiter.join(draw(pad) + c + draw(pad) for c in cells)
+        else:
+            gaps = st.sampled_from([" ", "\t", "  ", " \t "])
+            line = draw(pad) + "".join(c + draw(gaps) for c in cells).rstrip()
+        lines.extend([""] * draw(st.integers(0, 2)))  # blank lines before
+        lines.append(line)
+    if not delimiter.strip() and draw(st.booleans()):
+        lines.append(" \t ")  # a whitespace-only line
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + newline * draw(st.integers(0, 2))
+    return text, delimiter, skip_header
+
+
+class TestLoadPaths:
+    """np.loadtxt's fast path against the per-line parser it stands in for."""
+
+    @given(table=table_files())
+    @settings(max_examples=200, deadline=None)
+    def test_fast_path_equals_line_parser(self, tmp_path_factory, table):
+        text, delimiter, skip_header = table
+        path = tmp_path_factory.mktemp("load") / "t.txt"
+        path.write_bytes(text.encode("utf-8"))
+        manifest = DatasetManifest(
+            name="t", path=str(path), delimiter=delimiter, skip_header=skip_header
+        )
+        fast = _load_table(path, delimiter, skip_header)
+        assert fast is not None  # the fast path reads every such file
+        header, rows = _parse_lines(path, manifest)
+        assert fast[0] == header
+        assert fast[1].shape == rows.shape
+        assert fast[1].tobytes() == rows.tobytes()
+
+    def test_refused_files_go_line_by_line(self, tmp_path):
+        # quoted cells, underscores and a two-character delimiter: loadtxt
+        # refuses each, and the line parser reads them with float()
+        for text, delimiter, first in [
+            ('"1","2"\n"3","4"\n', ",", 1.0),
+            ("1_0,2\n3,4\n", ",", 10.0),
+            ("1::2\n3::4\n", "::", 1.0),
+        ]:
+            path = tmp_path / "r.txt"
+            path.write_text(text, encoding="utf-8")
+            assert _load_table(path, delimiter, False) is None
+            manifest = DatasetManifest(name="t", path=str(path), delimiter=delimiter)
+            assert load_dataset(manifest).features[:, 0].tolist() == [first, 3.0]
 
 
 class TestDatasetValidation:

@@ -52,6 +52,60 @@ def nn_scan(labeled, unlabeled, X):
     return np.array(nn), np.array(thetas)
 
 
+class TestDistances:
+    """graph._distances against scipy's cdist, its slow reference."""
+
+    @given(
+        data=st.data(),
+        metric=st.sampled_from(["cityblock", "euclidean"]),
+        tile=st.sampled_from([graph_module._TILE, 64, 500]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bits_equal_cdist(self, data, metric, tile):
+        # one row on either side, up to 120 columns, integer grids with
+        # duplicate rows and exact ties, scales from 1e-6 to 1e6, and tiles
+        # that cut the output into blocks of every shape
+        p, q = data.draw(
+            st.one_of(
+                st.tuples(st.just(1), st.integers(1, 40)),
+                st.tuples(st.integers(1, 40), st.just(1)),
+                st.tuples(st.integers(1, 40), st.integers(1, 40)),
+            )
+        )
+        d = data.draw(st.integers(1, 120))
+        scale = 10.0 ** data.draw(st.integers(-6, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if data.draw(st.booleans()):
+            side = data.draw(st.integers(1, 3))
+            X = rng.integers(-side, side + 1, size=(p + q, d)) * scale
+        else:
+            X = rng.normal(size=(p + q, d)) * scale
+        A, B = X[:p], X[p:]
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(graph_module, "_TILE", tile)
+            got = graph_module._distances(A, B, metric)
+        assert got.tobytes() == cdist(A, B, metric).tobytes()
+
+    def test_temporaries_stay_within_tiles(self):
+        # beyond its output, the kernel holds a tile of terms and one
+        # matmul's [a, 1] and [1, -b] blocks, whatever the input size
+        rng = np.random.default_rng(0)
+        for p, q, d in [(3000, 1, 5), (1, 3000, 5), (600, 600, 5), (50, 50, 400)]:
+            A, B = rng.normal(size=(p, d)), rng.normal(size=(q, d))
+            tracemalloc.start()
+            try:
+                graph_module._distances(A, B, "cityblock")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra = peak - 8 * p * q
+            assert extra <= 8 * 5 * graph_module._TILE + 4096, (p, q, d, peak)
+
+    def test_unknown_metric_raises(self):
+        with pytest.raises(ValueError, match="unknown metric 'sqeuclidean'"):
+            graph_module._distances(np.ones((2, 2)), np.ones((2, 2)), "sqeuclidean")
+
+
 class TestBuild:
     def test_toy_weights(self, toy_graph):
         assert toy_graph.thetas.tolist() == [9.0, 7.0, 2.0, 1.0]
@@ -211,16 +265,16 @@ SMALL_TABLE_SHAPES = {
 
 
 def counted_distances(monkeypatch):
-    """A list that collects, per cdist call the graph module makes, the
-    number of distances it computes."""
+    """A list that collects, per distance kernel call the graph module
+    makes, the number of distances it computes."""
     sizes = []
-    real_cdist = graph_module.cdist
+    real_distances = graph_module._distances
 
-    def cdist_spy(a, b, metric):
+    def distances_spy(a, b, metric):
         sizes.append(len(a) * len(b))
-        return real_cdist(a, b, metric)
+        return real_distances(a, b, metric)
 
-    monkeypatch.setattr(graph_module, "cdist", cdist_spy)
+    monkeypatch.setattr(graph_module, "_distances", distances_spy)
     return sizes
 
 

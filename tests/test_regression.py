@@ -6,7 +6,6 @@ with the penalty on the weights only; fit must agree to high precision.
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -127,13 +126,13 @@ class TestFit:
     def test_leaves_thread_counts_alone(self, blas_threads, monkeypatch):
         # outside a run, the solve runs on the caller's threads
         inside = []
-        real_lstsq = scipy.linalg.lstsq
+        real_lstsq = np.linalg.lstsq
 
         def lstsq(*args, **kwargs):
             inside.append(thread_counts())
             return real_lstsq(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "lstsq", lstsq)
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
         rng = np.random.default_rng(4)
         fit(rng.normal(size=(40, 6)), rng.normal(size=40), alpha=1.0)
         assert inside == [[2] * len(blas_threads)]

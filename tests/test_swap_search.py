@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist
 
 from alregress import NNBipartiteGraph, build_seed_set, select_ours_batch
+from alregress.graph import _distances
 
 from conftest import (
     assert_matches_dense,
@@ -130,9 +130,9 @@ class TestDegenerateMembers:
 
 def test_graph_rules_measure_no_distance(monkeypatch):
     """Once the graph holds its near-pair list, build_seed_set and the swap
-    search read every distance from it: cdist, which the graph's build,
-    commit and near-pair build and greedy_order call, is never called, and
-    the features are never read."""
+    search read every distance from it: the distance kernel, which the
+    graph's build, commit and near-pair build and greedy_order call, is
+    never called, and the features are never read."""
     g = clustered_graph(n=640)
     g.near_pairs()
     g.features = None
@@ -140,10 +140,10 @@ def test_graph_rules_measure_no_distance(monkeypatch):
 
     def spy(*args, **kwargs):
         calls.append((np.shape(args[0]), np.shape(args[1])))
-        return cdist(*args, **kwargs)
+        return _distances(*args, **kwargs)
 
     for name in ("alregress.strategies", "alregress.graph"):
-        monkeypatch.setattr(importlib.import_module(name), "cdist", spy)
+        monkeypatch.setattr(importlib.import_module(name), "_distances", spy)
     rng = np.random.default_rng(5)
     build_seed_set(g, 30)
     swapped = select_ours_batch(g, 30, rng.choice(g.unlabeled, 30, replace=False))
