@@ -14,7 +14,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,11 @@ _COUNT = (
 )
 _MANIFEST_FIELDS = {
     "path": _TEXT,
-    "delimiter": _TEXT,
+    "delimiter": (
+        lambda v: isinstance(v, str)
+        and (v.strip() == "" if len(v) > 1 else v not in ("", '"')),
+        "one character other than '\"', or whitespace",
+    ),
     "target_column": (
         lambda v: type(v) is int or isinstance(v, str),
         "an integer index or a column name",
@@ -72,9 +75,10 @@ def round_half_up(x: float) -> int:
 class DatasetManifest:
     """Where one delimited numeric data file lives and how to parse it.
 
-    ``delimiter`` of ``" "`` (or any all-whitespace string) splits on runs of
-    whitespace. ``target_column`` is a 0-based column index (negatives count
-    from the end) or, when the file has a header row, a column name.
+    ``delimiter`` is one character, which cannot be the quote ``"``; ``" "``
+    (or any all-whitespace string) splits on runs of whitespace.
+    ``target_column`` is a 0-based column index (negatives count from the
+    end) or, when the file has a header row, a column name.
     ``expected_cols`` counts feature columns, i.e. columns after the target
     is removed.
     """
@@ -171,103 +175,102 @@ def load_manifest(path: str | Path) -> dict[str, DatasetManifest]:
     return out
 
 
-def _split_line(line: str, delimiter: str) -> list[str]:
-    if delimiter.strip() == "":
-        return line.split()
-    return [cell.strip().strip('"') for cell in line.split(delimiter)]
+def _read(lines, delimiter: str, **kwargs) -> np.ndarray:
+    """np.loadtxt of ``lines`` (a file or a list of lines) as load_dataset
+    reads every table: no comments, fields quoted as in RFC 4180, one
+    delimiter character, or runs of whitespace for an all-whitespace one.
+    loadtxt reads a cell with PyOS_string_to_double, the parser float()
+    calls, so every cell it reads has float()'s bits."""
+    return np.loadtxt(
+        lines,
+        delimiter=None if delimiter.strip() == "" else delimiter,
+        comments=None,
+        quotechar='"',
+        **kwargs,
+    )
 
 
-def _header(line: str, delimiter: str) -> list[str]:
-    return [p.strip().strip('"') for p in _split_line(line, delimiter)]
+def _cells(line: str, delimiter: str) -> list[str]:
+    """The cells of one line as _read splits it; a cell that opens with a
+    quote comes without its quotes."""
+    return _read([line], delimiter, dtype=str, ndmin=1).tolist()
 
 
-def _load_table(path: Path, delimiter: str, skip_header: bool):
-    """(header, rows) of the file through np.loadtxt, or None where loadtxt
-    refuses it: ragged rows, a cell it cannot read (a quoted one, say), no
-    rows at all. The header is the first non-blank line. loadtxt reads a
-    cell with PyOS_string_to_double, the parser float() calls, so every
-    cell it reads has float()'s bits."""
-    whitespace = delimiter.strip() == ""
-    if not whitespace and len(delimiter) != 1:
-        return None  # loadtxt takes one delimiter character
-    with open(path, encoding="utf-8") as fh:
-        header = None
-        if skip_header:
-            line = next((ln for ln in iter(fh.readline, "") if ln.strip()), "")
-            header = _header(line.strip(), delimiter) if line else None
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # loadtxt warns on no rows
-                rows = np.loadtxt(
-                    fh,
-                    delimiter=None if whitespace else delimiter,
-                    comments=None,
-                    ndmin=2,
-                )
-        except (ValueError, UserWarning):
-            return None
-    return header, rows
-
-
-def _parse_lines(path: Path, manifest: DatasetManifest):
-    """(header, rows) of the file, line by line: every cell one Python
-    float, written straight into one float64 array. Raises ValueError
-    naming the 1-based line number for non-numeric cells or ragged rows."""
-    with open(path, encoding="utf-8") as fh:
-        lines = ((no, line.strip()) for no, line in enumerate(fh, start=1))
-        texts = ((no, line) for no, line in lines if line)
-        cells = ((no, _split_line(line, manifest.delimiter)) for no, line in texts)
-        header: list[str] | None = None
+def _refusal(path: Path, manifest: DatasetManifest) -> ValueError:
+    """Why np.loadtxt refused the file, from one scan that reads its lines
+    through _read one at a time: the first line holding a cell loadtxt
+    cannot read, or another number of cells than the first data line; no
+    data rows; or, where no single line is at fault, loadtxt's refusal of
+    the whole file."""
+    name, width = manifest.name, None
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns on a blank line
+        lines = enumerate(fh, start=1)
         if manifest.skip_header:
-            first = next(texts, None)
-            if first is not None:
-                header = _header(first[1], manifest.delimiter)
-        lineno, parts = next(cells, (0, []))
-        width = len(parts)
+            next((no for no, line in lines if line.strip()), None)
+        for lineno, line in lines:
+            try:
+                size = _read([line], manifest.delimiter, ndmin=1).size
+            except ValueError:
+                for i, cell in enumerate(_cells(line, manifest.delimiter)):
+                    try:
+                        _read([line], manifest.delimiter, usecols=i)
+                    except ValueError:
+                        return ValueError(
+                            f"dataset {name!r}: non-numeric cell {_shown(cell)!r} "
+                            f"at line {lineno} of {path}"
+                        )
+                raise
+            if size and width is None:
+                width = size
+            elif size and size != width:
+                return ValueError(
+                    f"dataset {name!r}: line {lineno} has {size} columns, "
+                    f"expected {width}"
+                )
+    if width is None:
+        return ValueError(f"dataset {name!r}: no data rows in {path}")
+    return ValueError(f"dataset {name!r}: np.loadtxt cannot read {path}")
 
-        def rows():
-            # fromiter asks for the next line only once this one's cells are
-            # used up, so on a failure (lineno, parts) is the bad line.
-            nonlocal lineno, parts
-            yield parts
-            for lineno, parts in cells:
-                if len(parts) != width:
-                    raise ValueError  # named below
-                yield parts
 
-        try:
-            flat = np.fromiter(map(float, chain.from_iterable(rows())), dtype=np.float64)
-        except ValueError:
-            bad = next((c for c in parts if not _is_float(c)), None)
-            if bad is not None:
-                raise ValueError(
-                    f"dataset {manifest.name!r}: non-numeric cell {bad!r} "
-                    f"at line {lineno} of {path}"
-                ) from None
-            raise ValueError(
-                f"dataset {manifest.name!r}: line {lineno} has {len(parts)} "
-                f"columns, expected {width}"
-            ) from None
-    if not width:
-        raise ValueError(f"dataset {manifest.name!r}: no data rows in {path}")
-    return header, flat.reshape(-1, width)
+def _shown(cell: str) -> str:
+    """A refused cell as an error names it: without surrounding spaces and
+    quotes, or as written where float() would read that as a number, so a
+    spelling loadtxt refuses (1_0, a space before a quote) shows itself."""
+    text = cell.strip().strip('"')
+    try:
+        float(text)
+    except ValueError:
+        return text
+    return cell
 
 
 def load_dataset(manifest: DatasetManifest) -> Dataset:
     """Parse the manifest's file into a Dataset.
 
-    Raises ValueError naming the 1-based line number for non-numeric cells or
-    ragged rows, and on expected_rows/expected_cols mismatches.
-
-    np.loadtxt reads the file (_load_table); a file it refuses goes through
-    the per-line parser, which reads what loadtxt would not, such as quoted
-    cells, or names the bad line. Both read every cell with float()'s bits.
+    One np.loadtxt call (_read) reads every data row; with skip_header the
+    first non-blank line is the header, its cells stripped of spaces and
+    quotes. Blank lines are skipped. Where loadtxt refuses the file, the
+    ValueError names the first bad line (_refusal), and a header-only or
+    empty file raises "no data rows". Also raises ValueError on
+    expected_rows/expected_cols mismatches.
     """
     path = Path(manifest.path)
     if not path.exists():
         raise FileNotFoundError(f"dataset {manifest.name!r}: no such file {path}")
-    table = _load_table(path, manifest.delimiter, manifest.skip_header)
-    header, data = table if table is not None else _parse_lines(path, manifest)
+    with open(path, encoding="utf-8") as fh:
+        header = None
+        if manifest.skip_header:
+            line = next((ln for ln in iter(fh.readline, "") if ln.strip()), None)
+            if line is not None:
+                cells = _cells(line, manifest.delimiter)
+                header = [cell.strip().strip('"') for cell in cells]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns on no rows
+                data = _read(fh, manifest.delimiter, ndmin=2)
+        except (ValueError, UserWarning):
+            raise _refusal(path, manifest) from None
 
     tcol = _resolve_target_column(manifest, header, data.shape[1])
     targets = data[:, tcol]
@@ -284,14 +287,6 @@ def load_dataset(manifest: DatasetManifest) -> Dataset:
             f"columns, parsed {features.shape[1]}"
         )
     return Dataset(features=features, targets=targets, name=manifest.name)
-
-
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def _resolve_target_column(

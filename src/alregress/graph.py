@@ -137,10 +137,12 @@ def _near_pair_pieces(features, unlabeled, nn, thetas, ptr) -> list:
 
     One anchor group at a time, in ascending anchor order: one row of L1
     distances from its anchor to every anchor picks the groups whose rows
-    it can reach (see near_pairs), and its candidates, ascending, meet
-    those rows in slices of at most _DIST_BUDGET distances.
+    it can reach (see near_pairs). Those rows are gathered, all of the pool
+    too, and its candidates, ascending, meet them in slices of at most
+    _DIST_BUDGET distances. A group that reaches no row, which only a group
+    of zero weights can, adds no piece.
     """
-    X, n = features[unlabeled], thetas.size
+    X = features[unlabeled]
     anchors, group = np.unique(nn, return_inverse=True)
     radius = np.zeros(anchors.size)
     np.maximum.at(radius, group, thetas)
@@ -153,12 +155,9 @@ def _near_pair_pieces(features, unlabeled, nn, thetas, ptr) -> list:
         reach = _distances(A[m : m + 1], A, "cityblock")[0] < bound
         rows = np.flatnonzero(reach[group])  # ascending positions
         width = rows.size
-        if width == n:  # nothing pruned: no gather, no row map
-            XR, TR, rows = X, thetas, None
-        elif width:
-            XR, TR = X[rows], thetas[rows]
-        else:
+        if not width:
             continue
+        XR, TR = X[rows], thetas[rows]
         step = max(1, _DIST_BUDGET // width)
         for s in range(0, cands.size, step):
             # Rows are candidates u: d(u, j) equals d(j, u) bit for bit
@@ -167,8 +166,7 @@ def _near_pair_pieces(features, unlabeled, nn, thetas, ptr) -> list:
             d = _distances(X[c], XR, "cityblock")
             flat = np.flatnonzero(d < TR)
             ptr[c + 1] = np.bincount(flat // width, minlength=c.size)
-            j = flat % width
-            j = j if rows is None else rows[j]
+            j = rows[flat % width]
             pieces.append((c, j.astype(np.int32), d.ravel()[flat]))
             del d
     return pieces
@@ -228,14 +226,12 @@ def _sparse_scores(pairs, weights, candidates=None):
 
 def _place_pieces(ptr, pieces) -> tuple[np.ndarray, np.ndarray]:
     """rows and dist of the near-pair list from its (candidates, rows, dist)
-    pieces, each written into its candidates' ``ptr`` slices and freed."""
+    pieces, each written into its candidates' ``ptr`` slices (_pair_index)
+    and freed."""
     rows, dist = np.empty(ptr[-1], dtype=np.int32), np.empty(ptr[-1])
     while pieces:
         c, j, d = pieces.pop()
-        if c[-1] - c[0] == c.size - 1 and np.all(np.diff(c) > 0):  # a range
-            at = slice(ptr[c[0]], ptr[c[-1] + 1])
-        else:
-            at = _pair_index(ptr, c)
+        at = _pair_index(ptr, c)
         rows[at], dist[at] = j, d
     return rows, dist
 

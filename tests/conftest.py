@@ -2,9 +2,11 @@
 instances, the benchmark stand-in's graphs, the slow references for q,
 the near-pair list, lazy greedy, the greedy max-min-distance walk, the swap
 search, rebuilds and least squares with the checks that hold the fast paths
-to them, the replay of a harness trial on a graph, benchmark data
-discovery, the OpenBLAS kernel the run uses, named in the report header,
-and ``blas_threads``, which runs a test with every OpenBLAS on two threads.
+to them, the replay of a harness trial on a graph, a slow reference for a
+whole trial (reference_trial), benchmark data discovery, the OpenBLAS
+kernel the run uses, named in the report header, with the pin set recorded
+for it (pinned), and ``blas_threads``, which runs a test with every
+OpenBLAS on two threads.
 
 ``random_graph`` is the library's ``validation.random_instance``, so the
 unit tests and ``al-regress validate`` draw instances the same way."""
@@ -34,12 +36,16 @@ from alregress import (
     select_ours_batch,
 )
 from alregress.experiment import (
+    _ORACLE_SALT,
+    _STRATEGY_RNG_SALT,
+    TrialResult,
     _openblas_libraries,
     _openblas_symbol,
     _openblas_thread_controls,
 )
-from alregress.regression import FLOOR_ALPHA
-from alregress.strategies import SWAP_TOL
+from alregress.oracle import LabelOracle
+from alregress.regression import FLOOR_ALPHA, fit, predict, rmse
+from alregress.strategies import COMMITTEE_SIZE, STRATEGY_KINDS, SWAP_TOL
 from alregress.validation import check_commit, check_graph
 from alregress.validation import random_instance as random_graph  # noqa: F401
 
@@ -56,21 +62,41 @@ BENCH_FILES = {
 }
 
 
-def openblas_cores() -> str:
-    """"library: core" for every OpenBLAS that experiment finds mapped into
-    this process, the core read from its openblas_get_corename, looked up
-    under the names that experiment looks the thread controls up under.
-
-    Pinned lstsq and GEMM bytes hold on one kernel (AVX-512 SkylakeX) and
-    not on the AVX2 ones, so the header and the failure messages of the
-    BLAS-derived pins name it."""
+def _loaded_cores() -> list[tuple[str, str]]:
+    """(library file, core) for every OpenBLAS that experiment finds mapped
+    into this process, the core read from its openblas_get_corename, looked
+    up under the names that experiment looks the thread controls up under."""
     cores = []
     for path, lib in _openblas_libraries():
         corename = _openblas_symbol(lib, "get_corename")
         if corename is not None:
             corename.argtypes, corename.restype = [], ctypes.c_char_p
-            cores.append(f"{Path(path).name}: {corename().decode()}")
-    return "; ".join(cores) or "none found"
+            cores.append((Path(path).name, corename().decode()))
+    return cores
+
+
+def openblas_cores() -> str:
+    """"library: core" for every loaded OpenBLAS (_loaded_cores).
+
+    Pinned lstsq and GEMM bytes follow the kernel, so the header and the
+    failure messages of the BLAS-derived pins name it."""
+    return "; ".join(f"{lib}: {core}" for lib, core in _loaded_cores()) or "none found"
+
+
+def pinned(sets: dict):
+    """The pin set that ``sets`` records for the one OpenBLAS core every
+    loaded library runs, by its openblas_get_corename; fails naming the
+    cores when there is no such set.
+
+    lstsq's bits follow the kernel: one set is recorded under the AVX-512
+    SkylakeX core, which Cooperlake and SapphireRapids also select, and one
+    under the AVX2 Haswell core, which OPENBLAS_CORETYPE=Haswell selects
+    (and Zen, in a build without its own Zen kernels). numpy's own SIMD
+    level moves none of them."""
+    cores = {core for _, core in _loaded_cores()}
+    if len(cores) == 1 and next(iter(cores)) in sets:
+        return sets[next(iter(cores))]
+    pytest.fail(f"no pins recorded for OpenBLAS cores: {openblas_cores()}")
 
 
 def pytest_report_header(config):
@@ -422,6 +448,124 @@ def replay_trial(config, result):
         g = after
         if i + 1 == len(rounds) or rounds[i + 1] != rounds[i]:
             check_graph(g)
+
+
+def reference_trial(space, config, strategy, seed):
+    """Slow reference for one harness trial of ``strategy`` at trial seed
+    ``seed`` on the model space ``space``, written from the protocol and
+    sharing only the layers it composes (fit, the oracle, the graph's fresh
+    build) and the slow references above.
+
+    A fresh make_split and a fit on the initial labeled set give the
+    pre-query RMSE. A round takes 2% of the initial pool, rounded up, one
+    query at a time: each query is labeled by the oracle, from the labels
+    known so far, before the next is picked, and the round ends with one
+    refit on every label known. ours_batch instead takes its whole batch,
+    20% of the initial pool rounded half up or batch_k, in ascending index
+    order as round 1: the dense swap search from the first k sequential
+    picks. A round that adds no label keeps the last RMSE. The labeled set
+    and the pool stay sorted index arrays; RMSE is against the noiseless
+    test targets. The oracle and strategy streams are seeded from the
+    trial seed, the stream's salt and the kind's place in STRATEGY_KINDS.
+    """
+    Z, y = space.features, space.targets
+    split = make_split(space.n, seed)
+    labeled, pool, test = split.initial_labeled, split.unlabeled_pool, split.test
+    alpha = config.regression.resolved_alpha()
+    code = STRATEGY_KINDS.index(strategy.kind) + 1
+    oracle = LabelOracle(
+        config.oracle, np.random.SeedSequence([seed, _ORACLE_SALT, code, 0])
+    )
+    rng = np.random.default_rng(
+        np.random.SeedSequence([seed, _STRATEGY_RNG_SALT, code, 0])
+    )
+    known = y.copy()  # the labels as the learner knows them
+
+    def test_rmse():
+        model = fit(Z[labeled], known[labeled], alpha)
+        return rmse(predict(model, Z[test]), y[test])
+
+    batch = None
+    if strategy.kind == "ours_batch":
+        k = strategy.batch_k or (2 * pool.size + 5) // 10
+        picks, lab, unl = [], labeled, pool
+        for _ in range(k):
+            u, _ = _reference_pick("ours_sequential", Z, known, lab, unl, rng, alpha)
+            picks.append(u)
+            lab, unl = np.union1d(lab, [u]), unl[unl != u]
+        g0 = NNBipartiteGraph.build(labeled, pool, Z)
+        S, q_hist, _ = dense_local_search(g0, g0._subset_positions(picks))
+        batch = [(int(u), q_hist[-1]) for u in g0.unlabeled[S]]
+
+    per_round = -(-2 * pool.size // 100)
+    rmses, queried, scores, rounds = [test_rmse()], [], [], []
+    for rnd in range(1, config.rounds + 1):
+        if batch is not None:
+            picks = iter(batch if rnd == 1 else [])
+        else:
+            picks = (
+                _reference_pick(strategy.kind, Z, known, labeled, pool, rng, alpha)
+                for _ in range(per_round)
+            )
+        for u, score in picks:
+            known[u] = oracle.label(y, u, known[labeled])
+            labeled, pool = np.union1d(labeled, [u]), pool[pool != u]
+            queried.append(u)
+            scores.append(score)
+            rounds.append(rnd)
+        rmses.append(test_rmse() if rounds and rounds[-1] == rnd else rmses[-1])
+    return TrialResult(
+        strategy=strategy.kind,
+        seed=int(seed),
+        rmse_per_round=np.asarray(rmses),
+        queried_indices=queried,
+        query_scores=scores,
+        query_rounds=rounds,
+    )
+
+
+def _reference_pick(kind, Z, known, labeled, pool, rng, alpha):
+    """One (query, score) of a per-query rule from the current sets:
+    ours_sequential's dense q argmax on a fresh build, scored by H before
+    less H after, on fresh builds; greedy's fresh scan; random's draw from
+    the pool; or a committee of COMMITTEE_SIZE bootstrap fits, each
+    resampling the labeled set with one rng.integers draw, scored by the
+    members' population variance (qbc) or by the mean absolute change from
+    the fit on every label times the norm of [x, 1] (emcm)."""
+    if kind == "ours_sequential":
+        g = NNBipartiteGraph.build(labeled, pool, Z)
+        u = int(pool[int(np.argmax(q_values_reference(g)))])
+        after = NNBipartiteGraph.build(np.union1d(labeled, [u]), pool[pool != u], Z)
+        return u, g.total_uncertainty() - after.total_uncertainty()
+    if kind == "greedy":
+        return greedy_scan(Z, labeled, pool)
+    if kind == "random":
+        return int(rng.choice(pool)), 0.0
+    m = labeled.size
+    preds = []
+    for _ in range(COMMITTEE_SIZE):
+        idx = labeled[rng.integers(0, m, size=m)]
+        preds.append(predict(fit(Z[idx], known[idx], alpha), Z[pool]))
+    preds = np.stack(preds)
+    if kind == "qbc":
+        score = preds.var(axis=0)
+    else:
+        main = predict(fit(Z[labeled], known[labeled], alpha), Z[pool])
+        norm = np.sqrt((Z[pool] ** 2).sum(axis=1) + 1.0)
+        score = np.abs(main - preds).mean(axis=0) * norm
+    pos = int(np.argmax(score))
+    return int(pool[pos]), float(score[pos])
+
+
+def assert_same_trial(got, want):
+    """Field by field, floats compared bitwise."""
+    assert (got.strategy, got.seed) == (want.strategy, want.seed)
+    assert got.rmse_per_round.tobytes() == want.rmse_per_round.tobytes()
+    assert got.queried_indices == want.queried_indices
+    assert np.asarray(got.query_scores).tobytes() == (
+        np.asarray(want.query_scores).tobytes()
+    )
+    assert got.query_rounds == want.query_rounds
 
 
 def demo05_dataset() -> Dataset:

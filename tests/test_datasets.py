@@ -20,7 +20,7 @@ from alregress import (
     round_half_up,
     standardize,
 )
-from alregress.datasets import DEGENERATE_STD, _load_table, _parse_lines
+from alregress.datasets import DEGENERATE_STD
 
 from conftest import REPO_ROOT
 
@@ -84,7 +84,7 @@ class TestManifest:
     # Each of these once loaded a 3x3 file wrongly or failed without naming
     # the entry: a bool or a float target took column 1, "no" read as true
     # and ate a data row, "3" rows never equalled 3, and a numeric path
-    # raised a bare TypeError.
+    # raised a bare TypeError. np.loadtxt takes one delimiter character.
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -93,6 +93,7 @@ class TestManifest:
             ("skip_header", "no"),
             ("expected_rows", "3"),
             ("path", 5),
+            ("delimiter", "::"),
         ],
     )
     def test_rejects_mistyped_field(self, tmp_path, field, value):
@@ -205,7 +206,7 @@ class TestLoading:
         rng = np.random.default_rng(3)
         lines = []
         for row in rng.normal(scale=1e3, size=(40, 4)).tolist():
-            spelled = [repr(row[0]), f"{row[1]:.3e}", f' "{row[2]!r}" ', f"{row[3]:.17g}"]
+            spelled = [repr(row[0]), f"{row[1]:.3e}", f'"{row[2]!r}" ', f"{row[3]:.17g}"]
             lines.append(",".join(spelled))
         p = self._data_file(tmp_path, "\n".join(lines) + "\n")
         ds = load_dataset(DatasetManifest(name="t", path=str(p)))
@@ -245,9 +246,10 @@ _CELLS = st.one_of(
 
 @st.composite
 def table_files(draw):
-    """(text, delimiter, skip_header) of a well-formed table: blank lines
-    anywhere, LF or CRLF ends, runs of spaces and tabs where the delimiter
-    is whitespace, spaces around delimited cells, an optional header."""
+    """(text, delimiter, skip_header, width) of a well-formed table: blank
+    lines anywhere, LF or CRLF ends, runs of spaces and tabs where the
+    delimiter is whitespace, spaces around delimited cells, quoted cells
+    ("1.5", and "1.5" then spaces), an optional header."""
     width = draw(st.integers(1, 6))
     row = st.lists(_CELLS, min_size=width, max_size=width)
     rows = draw(st.lists(row, min_size=1, max_size=12))
@@ -256,54 +258,80 @@ def table_files(draw):
     if skip_header:
         rows.insert(0, [f'"c{i}"' if i % 2 else f"c{i}" for i in range(width)])
     pad = st.sampled_from(["", " ", "  "])
+
+    def spelled(cell):
+        # a quote opens a field only as its first character
+        if cell.startswith('"') or not draw(st.booleans()):
+            return draw(pad) + cell + draw(pad)
+        return f'"{cell}"' + draw(pad)
+
     lines = []
     for cells in rows:
         if delimiter.strip():
-            line = delimiter.join(draw(pad) + c + draw(pad) for c in cells)
+            line = delimiter.join(spelled(c) for c in cells)
         else:
             gaps = st.sampled_from([" ", "\t", "  ", " \t "])
-            line = draw(pad) + "".join(c + draw(gaps) for c in cells).rstrip()
+            line = draw(pad) + "".join(spelled(c) + draw(gaps) for c in cells).rstrip()
         lines.extend([""] * draw(st.integers(0, 2)))  # blank lines before
         lines.append(line)
     if not delimiter.strip() and draw(st.booleans()):
         lines.append(" \t ")  # a whitespace-only line
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     text = newline.join(lines) + newline * draw(st.integers(0, 2))
-    return text, delimiter, skip_header
+    return text, delimiter, skip_header, width
 
 
-class TestLoadPaths:
-    """np.loadtxt's fast path against the per-line parser it stands in for."""
+def float_reference(text, delimiter, skip_header):
+    """The table as a list of lists, every cell one float() of its text
+    without surrounding spaces and quotes; the header line dropped."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    split = str.split if delimiter.strip() == "" else lambda s: s.split(delimiter)
+    return [
+        [float(cell.strip().strip('"')) for cell in split(line)]
+        for line in lines[int(skip_header) :]
+    ]
+
+
+class TestReader:
+    """np.loadtxt, the one reader, against float() and the lines it refuses."""
 
     @given(table=table_files())
     @settings(max_examples=200, deadline=None)
-    def test_fast_path_equals_line_parser(self, tmp_path_factory, table):
-        text, delimiter, skip_header = table
+    def test_equals_float_reference(self, tmp_path_factory, table):
+        text, delimiter, skip_header, width = table
         path = tmp_path_factory.mktemp("load") / "t.txt"
         path.write_bytes(text.encode("utf-8"))
+        # by header name when there is one: "c1", "c3" and "c5" are quoted
+        target = f"c{width - 1}" if skip_header else -1
         manifest = DatasetManifest(
-            name="t", path=str(path), delimiter=delimiter, skip_header=skip_header
+            name="t",
+            path=str(path),
+            delimiter=delimiter,
+            skip_header=skip_header,
+            target_column=target,
         )
-        fast = _load_table(path, delimiter, skip_header)
-        assert fast is not None  # the fast path reads every such file
-        header, rows = _parse_lines(path, manifest)
-        assert fast[0] == header
-        assert fast[1].shape == rows.shape
-        assert fast[1].tobytes() == rows.tobytes()
+        if width == 1:  # the target is the only column
+            with pytest.raises(ValueError, match="one feature"):
+                load_dataset(manifest)
+            return
+        ds = load_dataset(manifest)
+        want = np.asarray(float_reference(text, delimiter, skip_header))
+        assert ds.features.shape == (want.shape[0], width - 1)
+        assert ds.features.tobytes() == np.ascontiguousarray(want[:, :-1]).tobytes()
+        assert ds.targets.tobytes() == np.ascontiguousarray(want[:, -1]).tobytes()
 
-    def test_refused_files_go_line_by_line(self, tmp_path):
-        # quoted cells, underscores and a two-character delimiter: loadtxt
-        # refuses each, and the line parser reads them with float()
-        for text, delimiter, first in [
-            ('"1","2"\n"3","4"\n', ",", 1.0),
-            ("1_0,2\n3,4\n", ",", 10.0),
-            ("1::2\n3::4\n", "::", 1.0),
-        ]:
-            path = tmp_path / "r.txt"
-            path.write_text(text, encoding="utf-8")
-            assert _load_table(path, delimiter, False) is None
-            manifest = DatasetManifest(name="t", path=str(path), delimiter=delimiter)
-            assert load_dataset(manifest).features[:, 0].tolist() == [first, 3.0]
+    def test_dropped_spellings_name_their_line(self, tmp_path):
+        # float() reads each of these, loadtxt does not: a digit separator,
+        # a space before an opening quote, and a whitespace-only line in a
+        # delimited file, which is one empty cell
+        path = tmp_path / "r.txt"
+        for line, shown in [("1_0,2", "1_0"), (' "1.5",2', ' "1.5"'), (" ", "")]:
+            path.write_text(f"1,2\n{line}\n3,4\n", encoding="utf-8")
+            with pytest.raises(ValueError) as err:
+                load_dataset(DatasetManifest(name="t", path=str(path)))
+            want = f"dataset 't': non-numeric cell {shown!r} at line 2 of {path}"
+            assert str(err.value) == want
+            assert err.value.__suppress_context__
 
 
 class TestDatasetValidation:

@@ -31,7 +31,14 @@ from alregress import (
 )
 from alregress import exhaustive, experiment, validation
 
-from conftest import openblas_cores, replay_trial, synthetic_dataset, thread_counts
+from conftest import (
+    assert_same_trial,
+    openblas_cores,
+    pinned,
+    replay_trial,
+    synthetic_dataset,
+    thread_counts,
+)
 
 
 def small_config(dataset, strategies, **overrides):
@@ -244,12 +251,22 @@ class TestBatchTrial:
             oracle=OracleConfig(noise_kind="gaussian", noise_scale=0.1),
         )
         result = run_trial(config, config.strategies[0], trial_seed=0)
-        assert [repr(float(r)) for r in result.rmse_per_round] == [
-            "2.0363146515632624",
-            "0.06390184094374672",
-            "0.06390184094374672",
-            "0.06390184094374672",
-        ], f"pinned on SkylakeX; OpenBLAS cores: {openblas_cores()}"
+        want = pinned({
+            "SkylakeX": [
+                "2.0363146515632624",
+                "0.06390184094374672",
+                "0.06390184094374672",
+                "0.06390184094374672",
+            ],
+            "Haswell": [
+                "2.036314651563262",
+                "0.06390184094374701",
+                "0.06390184094374701",
+                "0.06390184094374701",
+            ],
+        })
+        got = [repr(float(r)) for r in result.rmse_per_round]
+        assert got == want, f"OpenBLAS cores: {openblas_cores()}"
 
     def test_oversized_batch_rejected(self):
         strat = StrategyConfig(kind="ours_batch", batch_k=500)
@@ -304,21 +321,41 @@ class TestNoiseInteraction:
             oracle=OracleConfig(noise_kind="gaussian", noise_scale=0.1),
         )
         qbc, emcm = (run_trial(config, s, trial_seed=0) for s in config.strategies)
-        kernel = f"pinned on SkylakeX; OpenBLAS cores: {openblas_cores()}"
+        want = pinned({
+            "SkylakeX": (
+                [
+                    "2.0363146515632624",
+                    "0.2965001908940135",
+                    "1.3953819450978413",
+                    "0.17942195361079888",
+                ],
+                [
+                    "2.0363146515632624",
+                    "2.3313956535806115",
+                    "0.47636300596816405",
+                    "0.08504019594627811",
+                ],
+            ),
+            "Haswell": (
+                [
+                    "2.036314651563262",
+                    "0.29650019089401186",
+                    "1.3953819450978366",
+                    "0.17942195361079727",
+                ],
+                [
+                    "2.036314651563262",
+                    "2.331395653580611",
+                    "0.47636300596816084",
+                    "0.08504019594627746",
+                ],
+            ),
+        })
+        kernel = f"OpenBLAS cores: {openblas_cores()}"
         assert qbc.queried_indices == [0, 48, 80, 43, 55, 103], kernel
-        assert [repr(float(r)) for r in qbc.rmse_per_round] == [
-            "2.0363146515632624",
-            "0.2965001908940135",
-            "1.3953819450978413",
-            "0.17942195361079888",
-        ], kernel
+        assert [repr(float(r)) for r in qbc.rmse_per_round] == want[0], kernel
         assert emcm.queried_indices == [0, 80, 43, 94, 103, 14], kernel
-        assert [repr(float(r)) for r in emcm.rmse_per_round] == [
-            "2.0363146515632624",
-            "2.3313956535806115",
-            "0.47636300596816405",
-            "0.08504019594627811",
-        ], kernel
+        assert [repr(float(r)) for r in emcm.rmse_per_round] == want[1], kernel
 
 
 def replay_all(config, report):
@@ -517,17 +554,6 @@ class TestDebugChecks:
         result = run_trial(config, config.strategies[0], trial_seed=1)
         assert len(result.queried_indices) == 60
         replay_trial(config, result)
-
-
-def assert_same_trial(got, want):
-    """Field by field, floats compared bitwise."""
-    assert (got.strategy, got.seed) == (want.strategy, want.seed)
-    assert got.rmse_per_round.tobytes() == want.rmse_per_round.tobytes()
-    assert got.queried_indices == want.queried_indices
-    assert np.asarray(got.query_scores).tobytes() == (
-        np.asarray(want.query_scores).tobytes()
-    )
-    assert got.query_rounds == want.query_rounds
 
 
 class TestSharedStart:
