@@ -180,13 +180,14 @@ def _read(lines, delimiter: str, **kwargs) -> np.ndarray:
     reads every table: no comments, fields quoted as in RFC 4180, one
     delimiter character, or runs of whitespace for an all-whitespace one.
     loadtxt reads a cell with PyOS_string_to_double, the parser float()
-    calls, so every cell it reads has float()'s bits."""
+    calls, so every cell it reads has float()'s bits. Split on whitespace,
+    a line is read without its trailing whitespace: loadtxt reads one more,
+    empty, cell at the end of a line that opens with a quoted cell and ends
+    in spaces or tabs."""
+    if delimiter.strip() == "":
+        lines, delimiter = (line.rstrip() for line in lines), None
     return np.loadtxt(
-        lines,
-        delimiter=None if delimiter.strip() == "" else delimiter,
-        comments=None,
-        quotechar='"',
-        **kwargs,
+        lines, delimiter=delimiter, comments=None, quotechar='"', **kwargs
     )
 
 

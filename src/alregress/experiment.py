@@ -5,13 +5,14 @@ round by round, retraining at the end of each round that added a label,
 where the model is read. The labeled set and the pool are sorted index
 arrays; only the graph rules build a graph.
 
-The graph rules and greedy never read a label, so a trial's whole query
-order is fixed before the first label: ours_sequential takes the first
+The graph rules, greedy and random never read a label, so a trial's whole
+query order is fixed before the first label: ours_sequential takes the first
 per_round * rounds picks and H drops of a build_seed_set chain, ours_batch
 its swap-search set, seeded with the chain's first k picks, in ascending
-index order as round 1 with no queries after, and greedy its greedy_order.
-Only random, qbc and emcm pick as they go. One round loop labels every
-rule's queries.
+index order as round 1 with no queries after, greedy its greedy_order, and
+random select_random's draws over the shrinking pool from its own stream.
+Only qbc and emcm pick as they go, each from the labels known so far. One
+round loop labels every rule's queries, each round's from one pick stream.
 
 A task is one trial seed and some of its strategies. It draws the seed's
 split, makes one initial fit for the pre-query RMSE, builds its label-free
@@ -47,9 +48,11 @@ import math
 import multiprocessing
 import os
 import threading
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -200,13 +203,13 @@ def _ceil_count(x: float) -> int:
     return max(1, math.ceil(x - 1e-9))
 
 
-def _seed_for(trial_seed: int, salt: int, strat: StrategyConfig):
+def _seed_for(trial_seed: int, salt: int, kind: str):
     # Keep the trailing 0: pinned outputs were drawn with it. SeedSequence
     # hashes zeros into the pool words that short entropy leaves empty, so it is
     # a no-op for trial seeds below 2**32; from 2**32 on it changes every draw.
     # A strategy's code is its place in STRATEGY_KINDS, from 1, which pins
     # that order.
-    code = STRATEGY_KINDS.index(strat.kind) + 1
+    code = STRATEGY_KINDS.index(kind) + 1
     return np.random.SeedSequence([int(trial_seed), salt, code, 0])
 
 
@@ -237,25 +240,31 @@ def _query_sizes(config: ExperimentConfig, n: int) -> dict[str, int]:
 
 def _orders(
     space: Dataset, config: ExperimentConfig, split: SplitIndices, sizes: dict
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """The whole (queries, scores) order of each label-free rule among
+) -> dict[str, Iterator[tuple[int, float]]]:
+    """The whole order of (query, score) pairs of each label-free rule among
     ``sizes``, a rule's batch size or per-round count by kind."""
     labeled, pool, Z = split.initial_labeled, split.unlabeled_pool, space.features
     seq_n = sizes.get("ours_sequential", 0) * config.rounds
     k = sizes.get("ours_batch", 0)
-    orders = {}
+    orders = {}  # each rule called through this module's name, which tracers patch
     if seq_n or k:
         graph = NNBipartiteGraph.build(labeled, pool, Z)
-        # Called through this module's names, where tracers patch them.
         picks, drops = build_seed_set(graph, max(seq_n, k))
         if seq_n:
-            orders["ours_sequential"] = picks[:seq_n], drops[:seq_n]
+            orders["ours_sequential"] = zip(picks[:seq_n].tolist(), drops.tolist())
         if k:
             trace = select_ours_batch(graph, k, picks[:k])
-            orders["ours_batch"] = trace.chosen, np.full(k, trace.score)
+            orders["ours_batch"] = zip(trace.chosen.tolist(), repeat(trace.score))
     if "greedy" in sizes:
         n = sizes["greedy"] * config.rounds
-        orders["greedy"] = greedy_order(Z, labeled, pool, n)
+        orders["greedy"] = zip(*(a.tolist() for a in greedy_order(Z, labeled, pool, n)))
+    if "random" in sizes:
+        rng = np.random.default_rng(_seed_for(split.seed, _STRATEGY_RNG_SALT, "random"))
+        picks = []
+        for _ in range(sizes["random"] * config.rounds):
+            picks.append(select_random(pool, rng).chosen)
+            pool = pool[pool != picks[-1]]
+        orders["random"] = zip(picks, repeat(0.0))
     return orders
 
 
@@ -305,21 +314,30 @@ def _run_strategy(
     split: SplitIndices,
     rmse0: float,
     size: int,
-    order: tuple[np.ndarray, np.ndarray] | None,
+    order: Iterator[tuple[int, float]] | None,
 ) -> TrialResult:
     """One strategy's trial from its seed's ``split`` and pre-query RMSE
-    ``rmse0``. A round takes ``size`` queries, from ``order`` while it lasts
-    or from the strategy's selector when it is None, and refits only if it
-    added a label: an ours_batch order of ``size`` queries fills round 1,
-    and later rounds carry its RMSE."""
+    ``rmse0``. A round takes the next ``size`` (query, score) pairs of one
+    stream: ``order``, or, when it is None, qbc's or emcm's selector on the
+    labels known at each pick. It refits only if it added a label: an
+    ours_batch order of ``size`` queries fills round 1, and later rounds
+    carry its RMSE."""
     Z, y_true = space.features, space.targets
     trial_seed, test = split.seed, split.test
     labeled, pool = split.initial_labeled, split.unlabeled_pool  # sorted
     y_work = y_true.copy()
     alpha = config.regression.resolved_alpha()
+    kind = strategy.kind
+    oracle = LabelOracle(config.oracle, _seed_for(trial_seed, _ORACLE_SALT, kind))
 
-    oracle = LabelOracle(config.oracle, _seed_for(trial_seed, _ORACLE_SALT, strategy))
-    rng = np.random.default_rng(_seed_for(trial_seed, _STRATEGY_RNG_SALT, strategy))
+    def committee():  # each pick from the sets and labels the loop has reached
+        select = select_qbc if kind == "qbc" else select_emcm
+        rng = np.random.default_rng(_seed_for(trial_seed, _STRATEGY_RNG_SALT, kind))
+        while True:
+            trace = select(Z, y_work, labeled, pool, rng, alpha=alpha)
+            yield trace.chosen, trace.score
+
+    order = committee() if order is None else order
 
     rmses = [rmse0]
     queried: list[int] = []
@@ -327,19 +345,7 @@ def _run_strategy(
     query_rounds: list[int] = []
 
     for rnd in range(1, config.rounds + 1):
-        for _ in range(size):
-            i = len(queried)
-            if order is None:
-                if strategy.kind == "random":
-                    trace = select_random(pool, rng)
-                else:
-                    select = select_qbc if strategy.kind == "qbc" else select_emcm
-                    trace = select(Z, y_work, labeled, pool, rng, alpha=alpha)
-                u, score = int(trace.chosen), trace.score
-            elif i < order[0].size:
-                u, score = int(order[0][i]), float(order[1][i])
-            else:
-                break
+        for u, score in islice(order, size):
             y_work[u] = oracle.label(y_true, u, y_work[labeled])
             labeled, pool = _insert_sorted(labeled, u), pool[pool != u]
             queried.append(u)
@@ -353,7 +359,7 @@ def _run_strategy(
     assert labeled.size + pool.size + test.size == space.n
 
     return TrialResult(
-        strategy=strategy.kind,
+        strategy=kind,
         seed=int(trial_seed),
         rmse_per_round=np.asarray(rmses, dtype=np.float64),
         queried_indices=queried,

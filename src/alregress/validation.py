@@ -7,9 +7,9 @@ decide through the library's own code: every bound draw goes through
 graph.check_bound, and every optimum through the exhaustive solvers. A check
 raises AssertionError when it fails and returns what it measured, if
 anything.
-``al-regress validate`` (run_validation), acceptance criteria 2-5 and the
-tests' trial replay call them at their own sizes and seeds; validate also
-runs the rebuild check on integer-grid instances with exact ties.
+``al-regress validate`` (run_validation) and acceptance criteria 2-5 call
+them at their own sizes and seeds; validate also runs the rebuild check on
+integer-grid instances with exact ties.
 """
 
 from __future__ import annotations

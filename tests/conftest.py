@@ -2,11 +2,11 @@
 instances, the benchmark stand-in's graphs, the slow references for q,
 the near-pair list, lazy greedy, the greedy max-min-distance walk, the swap
 search, rebuilds and least squares with the checks that hold the fast paths
-to them, the replay of a harness trial on a graph, a slow reference for a
-whole trial (reference_trial), benchmark data discovery, the OpenBLAS
-kernel the run uses, named in the report header, with the pin set recorded
-for it (pinned), and ``blas_threads``, which runs a test with every
-OpenBLAS on two threads.
+to them, a slow reference for a whole trial (reference_trial) with the
+check that holds a run's trials to it, benchmark data discovery, the
+OpenBLAS kernel the run uses, named in the report header, with the pin set
+recorded for it (pinned), and ``blas_threads``, which runs a test with
+every OpenBLAS on two threads.
 
 ``random_graph`` is the library's ``validation.random_instance``, so the
 unit tests and ``al-regress validate`` draw instances the same way."""
@@ -32,7 +32,6 @@ from alregress import (
     build_seed_set,
     greedy_order,
     make_split,
-    select_greedy,
     select_ours_batch,
 )
 from alregress.experiment import (
@@ -46,7 +45,6 @@ from alregress.experiment import (
 from alregress.oracle import LabelOracle
 from alregress.regression import FLOOR_ALPHA, fit, predict, rmse
 from alregress.strategies import COMMITTEE_SIZE, STRATEGY_KINDS, SWAP_TOL
-from alregress.validation import check_commit, check_graph
 from alregress.validation import random_instance as random_graph  # noqa: F401
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -413,43 +411,6 @@ def _dense_swap_deltas(D, S, u, state):
     return total_base - base_by_l + repl_by_l + cost[u] - new_member_cost
 
 
-def replay_trial(config, result):
-    """Replay a harness trial on the graph: rebuild its initial graph from
-    the split and commit ``queried_indices`` one at a time, checking the
-    graph against a fresh build (check_graph) at every round end.
-
-    An ``ours_sequential`` score must equal the replayed H drop of its
-    query bitwise. A ``greedy`` query and its score must equal, bitwise,
-    what select_greedy returns on the replayed sets: greedy_order's first
-    pick, one fresh scan of those sets, where the harness walked one
-    greedy_order from the initial sets. An
-    ``ours_batch`` set is checked as one commit of the initial graph
-    (check_commit), and its score must equal that graph's q_set of the
-    set. The harness keeps only index sets, so this is where
-    its queries meet the graph's tie rule on a trial's own data."""
-    space = build_model_space(config.dataset, config.regression)
-    split = make_split(space.n, result.seed)
-    g0 = NNBipartiteGraph.build(split.initial_labeled, split.unlabeled_pool,
-                                space.features)
-    if result.strategy == "ours_batch":
-        chosen = np.asarray(result.queried_indices, dtype=np.int64)
-        check_commit(g0, chosen)
-        assert set(result.query_scores) == {g0.q_set(chosen)}
-        return
-    g = g0
-    rounds = result.query_rounds
-    for i, (u, score) in enumerate(zip(result.queried_indices, result.query_scores)):
-        if result.strategy == "greedy":
-            trace = select_greedy(space.features, g.labeled, g.unlabeled)
-            assert (trace.chosen, trace.score) == (u, score)
-        after = g.commit(np.asarray([u]))
-        if result.strategy == "ours_sequential":
-            assert score == g.total_uncertainty() - after.total_uncertainty()
-        g = after
-        if i + 1 == len(rounds) or rounds[i + 1] != rounds[i]:
-            check_graph(g)
-
-
 def reference_trial(space, config, strategy, seed):
     """Slow reference for one harness trial of ``strategy`` at trial seed
     ``seed`` on the model space ``space``, written from the protocol and
@@ -555,6 +516,20 @@ def _reference_pick(kind, Z, known, labeled, pool, rng, alpha):
         score = np.abs(main - preds).mean(axis=0) * norm
     pos = int(np.argmax(score))
     return int(pool[pos]), float(score[pos])
+
+
+def assert_trials_are_reference(config, report):
+    """Each strategy's trials in ``report``, a run of ``config``, are one
+    per trial seed in seed order, each equal to reference_trial's."""
+    space = build_model_space(config.dataset, config.regression)
+    seeds = list(range(config.base_seed, config.base_seed + config.trials))
+    for strategy in config.strategies:
+        results = report.trials[strategy.kind]
+        assert [r.seed for r in results] == seeds
+        for result in results:
+            assert_same_trial(
+                result, reference_trial(space, config, strategy, result.seed)
+            )
 
 
 def assert_same_trial(got, want):

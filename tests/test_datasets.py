@@ -248,8 +248,9 @@ _CELLS = st.one_of(
 def table_files(draw):
     """(text, delimiter, skip_header, width) of a well-formed table: blank
     lines anywhere, LF or CRLF ends, runs of spaces and tabs where the
-    delimiter is whitespace, spaces around delimited cells, quoted cells
-    ("1.5", and "1.5" then spaces), an optional header."""
+    delimiter is whitespace, after a line's last cell too, spaces around
+    delimited cells, quoted cells ("1.5", and "1.5" then spaces), an
+    optional header."""
     width = draw(st.integers(1, 6))
     row = st.lists(_CELLS, min_size=width, max_size=width)
     rows = draw(st.lists(row, min_size=1, max_size=12))
@@ -271,7 +272,9 @@ def table_files(draw):
             line = delimiter.join(spelled(c) for c in cells)
         else:
             gaps = st.sampled_from([" ", "\t", "  ", " \t "])
-            line = draw(pad) + "".join(spelled(c) + draw(gaps) for c in cells).rstrip()
+            line = draw(pad) + "".join(spelled(c) + draw(gaps) for c in cells)
+            if draw(st.booleans()):
+                line = line.rstrip()
         lines.extend([""] * draw(st.integers(0, 2)))  # blank lines before
         lines.append(line)
     if not delimiter.strip() and draw(st.booleans()):

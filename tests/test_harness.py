@@ -33,9 +33,10 @@ from alregress import exhaustive, experiment, validation
 
 from conftest import (
     assert_same_trial,
+    assert_trials_are_reference,
     openblas_cores,
     pinned,
-    replay_trial,
+    reference_trial,
     synthetic_dataset,
     thread_counts,
 )
@@ -358,13 +359,6 @@ class TestNoiseInteraction:
         assert [repr(float(r)) for r in emcm.rmse_per_round] == want[1], kernel
 
 
-def replay_all(config, report):
-    """replay_trial on every trial of ``report``."""
-    for results in report.trials.values():
-        for result in results:
-            replay_trial(config, result)
-
-
 @pytest.fixture(scope="module")
 def report():
     config = small_config(
@@ -374,7 +368,7 @@ def report():
         rounds=10,
     )
     rep = run_experiment(config)
-    replay_all(config, rep)
+    assert_trials_are_reference(config, rep)
     return rep
 
 
@@ -537,23 +531,25 @@ def grid_dataset(seed, n=120, d=3):
 
 class TestDebugChecks:
     def test_incremental_graph_matches_rebuild_on_grid_data(self):
-        # every trial is replayed on the graph, and every round's graph is
-        # checked against a fresh build
+        # duplicate rows and exact ties: every trial is the reference's,
+        # which rebuilds the graph for every sequential pick
         config = small_config(
             grid_dataset(19),
             ["ours_sequential", "ours_batch", "random", "greedy"],
             trials=3,
         )
-        replay_all(config, run_experiment(config))
+        assert_trials_are_reference(config, run_experiment(config))
 
     def test_greedy_walk_replays_select_greedy(self):
         # 6 queries per round over 10 rounds on a 276-point pool: each pick
         # and score of the harness's incremental min-distance vector is
-        # bitwise select_greedy's on the same sets
+        # bitwise the reference's fresh scan of the same sets
         config = small_config(synthetic_dataset(29, n=400), ["greedy"], rounds=10)
         result = run_trial(config, config.strategies[0], trial_seed=1)
         assert len(result.queried_indices) == 60
-        replay_trial(config, result)
+        space = build_model_space(config.dataset, config.regression)
+        want = reference_trial(space, config, config.strategies[0], 1)
+        assert_same_trial(result, want)
 
 
 class TestSharedStart:

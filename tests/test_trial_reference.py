@@ -23,13 +23,12 @@ from alregress import (
     OracleConfig,
     RegressionSpec,
     StrategyConfig,
-    build_model_space,
     experiment,
     run_experiment,
 )
 from alregress.datasets import split_sizes
 
-from conftest import assert_same_trial, reference_trial
+from conftest import assert_trials_are_reference
 
 PER_QUERY = ("ours_sequential", "random", "greedy", "qbc", "emcm")
 
@@ -87,11 +86,7 @@ def assert_run_is_reference(config, cpus):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiment, "_usable_cpus", lambda: cpus)
         report = run_experiment(config)
-    space = build_model_space(config.dataset, config.regression)
-    for strategy in config.strategies:
-        (result,) = report.trials[strategy.kind]
-        want = reference_trial(space, config, strategy, config.base_seed)
-        assert_same_trial(result, want)
+    assert_trials_are_reference(config, report)
 
 
 @given(config=trial_cases())
